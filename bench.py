@@ -355,21 +355,26 @@ def main_scaling(sf_dir: str) -> None:
     _record_scaling(out)
 
 
-def _record_scaling(out: dict) -> None:
-    """Append/replace the LATEST-RUN section in BASELINE.md.
+def _record_scaling(out: dict, path: str | None = None) -> None:
+    """Append/replace the LATEST-RUN section in BASELINE.md (or ``path``).
 
-    Replaces only the auto-maintained "Latest --scaling run" section —
-    the hand-curated multi-run table under "## Measured scaling (this
-    engine)" is never touched (it used to be clobbered by every
-    --scaling run and had to be restored from git each time; the
-    curated table is the headline record, this section is the raw
-    latest sample to fold into it)."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BASELINE.md")
+    Replaces only the auto-maintained "Latest --scaling run" section,
+    from its heading up to the next ``## `` heading (or the end of the
+    file) — every hand-curated section, above or below it, is never
+    touched (the curated table is the headline record, this section is
+    the raw latest sample to fold into it)."""
+    if path is None:
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BASELINE.md")
     marker = "## Latest --scaling run (auto-written; fold into the curated table above)"
     with open(path, "r", encoding="utf-8") as f:
         content = f.read()
+    tail = ""
     if marker in content:
-        content = content[: content.index(marker)].rstrip() + "\n"
+        start = content.index(marker)
+        end = content.find("\n## ", start + len(marker))
+        if end != -1:
+            tail = "\n" + content[end + 1 :]
+        content = content[:start].rstrip() + "\n"
     lo, hi = SCALING_PAIR
     section = (
         f"\n{marker}\n\n"
@@ -402,7 +407,7 @@ def _record_scaling(out: dict) -> None:
         f"separates engine scaling from host contention at any load.\n"
     )
     with open(path, "w", encoding="utf-8") as f:
-        f.write(content + section)
+        f.write(content + section + tail)
 
 
 if __name__ == "__main__":

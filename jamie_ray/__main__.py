@@ -1514,7 +1514,8 @@ def main(argv: list[str] | None = None) -> None:
         choices=["broadcast", "shuffle", "bloom"],
         help="broadcast = exact (overlap set under the cap); shuffle = "
         "exact, zero driver collections; bloom = approximate one-sided "
-        "(driver holds only bloom-bits/8 bytes at ANY corpus size)",
+        "(driver holds ~bloom-bits/8 bytes, rounded up to whole slices, "
+        "at ANY corpus size)",
     )
     p.add_argument(
         "--bloom-bits",

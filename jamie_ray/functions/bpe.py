@@ -212,7 +212,7 @@ def train_bpe(
 def _apply_word(w: str, prio: dict[tuple[str, str], int]) -> list[str]:
     """Greedy best-priority merge application to one word — the ONE
     copy of the fuse loop shared by :func:`apply_bpe` and
-    :class:`SegmentBPE`."""
+    :func:`segment_corpus`."""
     syms = list(w)
     while len(syms) > 1:
         best_i, best_p = -1, None
@@ -236,45 +236,42 @@ def apply_bpe(text: str, merges: list[tuple[str, str]]) -> list[str]:
     return out
 
 
-class SegmentBPE:
-    """Actor-pool ``map_batches`` kernel applying a trained merge
-    table to a text column — the corpus-scale consumer of
+def segment_corpus(docs, merges_table: pa.Table, text_col: str = "text"):
+    """documents -> documents + (bpe_tokens, n_bpe_tokens), applying a
+    trained merge table — the corpus-scale consumer of
     :func:`train_bpe` (train once on a sample, segment 100 TB with the
-    broadcast merge list). Priority table is built ONCE per actor in
-    ``__init__`` from the broadcast merges; ``__call__`` adds
-    ``bpe_tokens`` (list<string>) and ``n_bpe_tokens`` columns.
+    broadcast merge table). The priority dict is built ONCE on the
+    driver and rides ``ray.put``; plain-task batches read it through
+    ``state.worker_cache.cached_get``, which also holds each worker's
+    vocabulary-bounded word -> segmentation memo (reset with the
+    table)."""
+    import ray as _ray
 
-    Worker-cache variant: pass the ``ray.put`` ref of the merge list
-    so tasks never re-ship it.
-    """
+    from ..state.worker_cache import cached_get
 
-    def __init__(self, merges_ref, text_col: str = "text") -> None:
-        import ray as _ray
-
-        merges = (
-            _ray.get(merges_ref)
-            if isinstance(merges_ref, _ray.ObjectRef)
-            else merges_ref
+    prio = {
+        pair: i
+        for i, pair in enumerate(
+            zip(
+                merges_table.column("lhs").to_pylist(),
+                merges_table.column("rhs").to_pylist(),
+            )
         )
-        self._prio = {tuple(p): i for i, p in enumerate(merges)}
-        self._text_col = text_col
-        self._memo: dict[str, list[str]] = {}
+    }
+    ref = _ray.put(prio)
 
-    def _segment_word(self, w: str) -> list[str]:
-        hit = self._memo.get(w)
-        if hit is not None:
-            return hit
-        syms = _apply_word(w, self._prio)
-        if len(self._memo) < (1 << 20):  # vocabulary-bounded memo
-            self._memo[w] = syms
-        return syms
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def segment(batch: pa.Table) -> pa.Table:
+        table, memo = cached_get(ref, "bpe_segment", lambda p: (p, {}))
         toks_out: list[list[str]] = []
-        for t in batch.column(self._text_col).to_pylist():
+        for t in batch.column(text_col).to_pylist():
             row: list[str] = []
             for w in ws_tokens(t):
-                row.extend(self._segment_word(w))
+                syms = memo.get(w)
+                if syms is None:
+                    syms = _apply_word(w, table)
+                    if len(memo) < (1 << 20):  # vocabulary-bounded memo
+                        memo[w] = syms
+                row.extend(syms)
             toks_out.append(row)
         return batch.append_column(
             "bpe_tokens", pa.array(toks_out, pa.list_(pa.string()))
@@ -282,23 +279,4 @@ class SegmentBPE:
             "n_bpe_tokens", pa.array([len(r) for r in toks_out], pa.int64())
         )
 
-
-def segment_corpus(docs, merges_table: pa.Table, text_col: str = "text"):
-    """documents -> documents + (bpe_tokens, n_bpe_tokens), applying a
-    trained merge table via a broadcast-once actor pool."""
-    import ray as _ray
-
-    merges = list(
-        zip(
-            merges_table.column("lhs").to_pylist(),
-            merges_table.column("rhs").to_pylist(),
-        )
-    )
-    ref = _ray.put(merges)
-    return docs.map_batches(
-        SegmentBPE,
-        fn_constructor_args=(ref,),
-        fn_constructor_kwargs={"text_col": text_col},
-        concurrency=(1, 8),
-        batch_format="pyarrow",
-    )
+    return docs.map_batches(segment, batch_format="pyarrow")

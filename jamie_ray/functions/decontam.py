@@ -121,56 +121,31 @@ def benchmark_ngram_set(
     return frozenset(out)
 
 
-class _FlagContaminated:
-    """map_batches actor: benchmark gram set shipped via ``ray.put``
-    once, materialized per actor in ``__init__`` (the `_BroadcastJoin`
-    pattern from ``pipelines/relational.py``)."""
+def _grams_lookup(grams):
+    # a caller's pre-put ref may hold any iterable of gram strings
+    return grams if isinstance(grams, frozenset) else frozenset(grams)
 
-    def __init__(self, grams_ref, n: int, text_col: str, hashed: bool) -> None:
-        grams = (
-            ray.get(grams_ref) if isinstance(grams_ref, ray.ObjectRef) else grams_ref
-        )
-        if hashed:
-            # decontaminate() already ships a sorted uint64 array;
-            # normalize here too for callers passing a pre-put ref of
-            # raw grams. Sorted for O(log n) searchsorted membership.
-            self.bench_hashes = (
-                np.sort(grams) if isinstance(grams, np.ndarray) else _to_hash_array(grams)
-            )
-            self.bench = None
-        else:
-            self.bench = grams if isinstance(grams, frozenset) else frozenset(grams)
-            self.bench_hashes = None
-        self.n = n
-        self.text_col = text_col
 
-    def _hits(self, grams: set[str]) -> int:
-        if self.bench is not None:
-            return len(grams & self.bench)
-        if not grams:
-            return 0
-        h = np.fromiter(
-            (gram_hash(g) for g in grams), dtype=np.uint64, count=len(grams)
-        )
-        idx = np.searchsorted(self.bench_hashes, h)
-        in_range = idx < len(self.bench_hashes)
-        hits = np.zeros(len(h), dtype=bool)
-        hits[in_range] = self.bench_hashes[idx[in_range]] == h[in_range]
-        return int(hits.sum())
+def _hashes_lookup(grams) -> np.ndarray:
+    # decontaminate() already ships a sorted uint64 array; a caller's
+    # pre-put ref of raw grams is hashed here, once per worker. Sorted
+    # for O(log n) searchsorted membership.
+    return np.sort(grams) if isinstance(grams, np.ndarray) else _to_hash_array(grams)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_grams, n_hits = [], []
-        for t in batch.column(self.text_col).to_pylist():
-            grams = doc_grams(t, self.n)
-            n_grams.append(len(grams))
-            n_hits.append(self._hits(grams))
-        out = batch.drop_columns([self.text_col])
-        out = out.append_column("n_grams", pa.array(n_grams, pa.int64()))
-        out = out.append_column("n_hits", pa.array(n_hits, pa.int64()))
-        return out.append_column(
-            "contaminated",
-            pa.array([1 if h > 0 else 0 for h in n_hits], pa.int64()),
-        )
+
+def _hits(grams: set[str], bench: frozenset[str] | np.ndarray) -> int:
+    """Distinct ``grams`` found in the benchmark lookup (a gram set, or
+    the sorted uint64 hash array of the ``hashed`` path)."""
+    if not isinstance(bench, np.ndarray):
+        return len(grams & bench)
+    if not grams:
+        return 0
+    h = np.fromiter((gram_hash(g) for g in grams), dtype=np.uint64, count=len(grams))
+    idx = np.searchsorted(bench, h)
+    in_range = idx < len(bench)
+    hits = np.zeros(len(h), dtype=bool)
+    hits[in_range] = bench[idx[in_range]] == h[in_range]
+    return int(hits.sum())
 
 
 def decontaminate(
@@ -180,7 +155,6 @@ def decontaminate(
     n: int = 3,
     text_col: str = "text",
     hashed: bool = False,
-    concurrency: tuple[int, int] = (1, 8),
 ) -> ray.data.Dataset:
     """Flag corpus docs sharing any word ``n``-gram with ``benchmark``.
 
@@ -196,8 +170,12 @@ def decontaminate(
     ``stable_hash64`` ints (``int``/``np.integer``); either way the
     hashed path broadcasts ONE sorted uint64 array, hashed on the
     driver, so the 8 B/gram object-store footprint is realized and
-    actors never re-hash the benchmark.
+    workers never re-hash the benchmark. The flag pass is a plain-task
+    map: each worker fetches the broadcast once through
+    ``state.worker_cache.cached_get``.
     """
+    from ..state.worker_cache import cached_get
+
     if isinstance(benchmark, ray.ObjectRef):
         ref = benchmark
     elif hashed:
@@ -206,9 +184,24 @@ def decontaminate(
         ref = ray.put(
             benchmark if isinstance(benchmark, frozenset) else frozenset(benchmark)
         )
-    return docs_ds.map_batches(
-        _FlagContaminated,
-        fn_constructor_args=(ref, n, text_col, hashed),
-        concurrency=concurrency,
-        batch_format="pyarrow",
-    )
+
+    def flag(batch: pa.Table) -> pa.Table:
+        bench = (
+            cached_get(ref, "decontam_hashes", _hashes_lookup)
+            if hashed
+            else cached_get(ref, "decontam_grams", _grams_lookup)
+        )
+        n_grams, n_hits = [], []
+        for t in batch.column(text_col).to_pylist():
+            grams = doc_grams(t, n)
+            n_grams.append(len(grams))
+            n_hits.append(_hits(grams, bench))
+        out = batch.drop_columns([text_col])
+        out = out.append_column("n_grams", pa.array(n_grams, pa.int64()))
+        out = out.append_column("n_hits", pa.array(n_hits, pa.int64()))
+        return out.append_column(
+            "contaminated",
+            pa.array([1 if h > 0 else 0 for h in n_hits], pa.int64()),
+        )
+
+    return docs_ds.map_batches(flag, batch_format="pyarrow")

@@ -165,8 +165,9 @@ def incremental_dedup(
       hashes emit ``(slice, bit_position)`` 16-byte rows (k positions
       per hash via Kirsch-Mitzenmacher double hashing), ONE shuffle
       range-partitions the bit space, each slice group builds its
-      bitmap shard, and the driver assembles exactly ``bloom_bits/8``
-      bytes — bounded by the CALLER-CHOSEN filter size, never by
+      bitmap shard, and the driver assembles ``bloom_bits/8`` bytes
+      rounded up to whole slices (under one extra slice, ~1/256 of the
+      filter) — bounded by the CALLER-CHOSEN filter size, never by
       corpus size (16 MiB for the default ``bloom_bits=2**27``). The
       flag pass is then streaming over the new corpus (same full
       output schema as ``"broadcast"``). One-sided error: a genuinely
@@ -200,7 +201,8 @@ def incremental_dedup(
             )
         # byte-aligned contiguous bit-space slices: the shuffle key is
         # the slice, so each group builds an independent bitmap shard
-        # and the driver reassembles exactly m/8 bytes in slice order
+        # and the driver reassembles m/8 bytes (rounded up to whole
+        # slices; the bits past m stay 0) in slice order
         slice_bits = (-(-m // N_SLICES) + 7) // 8 * 8
         slice_bytes = slice_bits // 8
         n_slices = -(-m // slice_bits)
@@ -255,8 +257,9 @@ def incremental_dedup(
         )
         bitmap = np.zeros(n_slices * slice_bytes, dtype=np.uint8)
         # structurally bounded collection: <= n_slices rows totalling
-        # exactly m/8 bytes, independent of corpus size — so a small
-        # caller edge_cap (sized for overlap sets) must not trip here
+        # m/8 bytes rounded up to whole slices, independent of corpus
+        # size — so a small caller edge_cap (sized for overlap sets)
+        # must not trip here
         for b in iter_capped_batches(
             slices,
             cap=max(cap, n_slices + 1),
@@ -962,25 +965,24 @@ def minhash_clusters(
             else:
                 verify_distributed()
         comp = uf.components()
-    ref = ray.put(comp)
+    # the component map rides the object store once and plain tasks
+    # read it through the per-worker cache: an actor pool here spent
+    # seconds starting per call for a map that runs in milliseconds
+    comp_ref = ray.put(comp)
 
-    class Assign:
-        def __init__(self, comp_ref) -> None:
-            self.comp = ray.get(comp_ref) if isinstance(comp_ref, ray.ObjectRef) else comp_ref
+    def assign(batch: pa.Table) -> pa.Table:
+        from ..state.worker_cache import cached_get
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column(id_col).to_pylist()
-            clusters = [self.comp.get(i, i) for i in ids]
-            return pa.table(
-                {
-                    id_col: pa.array(ids, pa.int64()),
-                    "cluster_id": pa.array(clusters, pa.int64()),
-                }
-            )
+        roots = cached_get(comp_ref, "minhash_components")
+        ids = batch.column(id_col).to_pylist()
+        return pa.table(
+            {
+                id_col: pa.array(ids, pa.int64()),
+                "cluster_id": pa.array([roots.get(i, i) for i in ids], pa.int64()),
+            }
+        )
 
-    return docs.map_batches(
-        Assign, fn_constructor_args=(ref,), concurrency=(1, 4), batch_format="pyarrow"
-    )
+    return docs.map_batches(assign, batch_format="pyarrow")
 
 
 # -- simhash ----------------------------------------------------------------

@@ -208,36 +208,11 @@ def train_ngram_lm(
     return NgramLM(uni=uni, bi=bi, total=total, v=n_types + 1, k=k)
 
 
-class _ScorePerplexity:
-    """map_batches actor: LM shipped via ``ray.put`` once, materialized
-    per actor in ``__init__`` (the broadcast pattern)."""
-
-    def __init__(self, lm_ref, text_col: str) -> None:
-        self.lm: NgramLM = (
-            ray.get(lm_ref) if isinstance(lm_ref, ray.ObjectRef) else lm_ref
-        )
-        self.text_col = text_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_tokens, lp_micro, ppl = [], [], []
-        for t in batch.column(self.text_col).to_pylist():
-            toks = ws_tokens(t)
-            lp = self.lm.logprob(toks)
-            n_tokens.append(len(toks))
-            lp_micro.append(round(lp * _MICRO))
-            ppl.append(math.exp(-lp / len(toks)) if toks else float("nan"))
-        out = batch.drop_columns([self.text_col])
-        out = out.append_column("n_tokens", pa.array(n_tokens, pa.int64()))
-        out = out.append_column("logprob_micro", pa.array(lp_micro, pa.int64()))
-        return out.append_column("ppl", pa.array(ppl, pa.float64()))
-
-
 def score_perplexity(
     docs,
     lm: NgramLM | "ray.ObjectRef",
     *,
     text_col: str = "text",
-    concurrency: tuple[int, int] = (1, 8),
 ):
     """Score each doc's perplexity under ``lm`` (an :class:`NgramLM` or
     an ``ObjectRef`` from a prior ``ray.put``, re-used across calls).
@@ -248,14 +223,27 @@ def score_perplexity(
     order, so the value is bit-stable under any block layout) and
     ``ppl`` (per-token perplexity ``exp(-logprob/n_tokens)``; NaN for
     empty docs). Filtering is the caller's one-liner so the scores stay
-    observable."""
+    observable. The LM rides the object store once; plain-task batches
+    read it through ``state.worker_cache.cached_get``."""
     ref = lm if isinstance(lm, ray.ObjectRef) else ray.put(lm)
-    return docs.map_batches(
-        _ScorePerplexity,
-        fn_constructor_args=(ref, text_col),
-        concurrency=concurrency,
-        batch_format="pyarrow",
-    )
+
+    def score(batch: pa.Table) -> pa.Table:
+        from ..state.worker_cache import cached_get
+
+        model: NgramLM = cached_get(ref, "lm_score_perplexity")
+        n_tokens, lp_micro, ppl = [], [], []
+        for t in batch.column(text_col).to_pylist():
+            toks = ws_tokens(t)
+            lp = model.logprob(toks)
+            n_tokens.append(len(toks))
+            lp_micro.append(round(lp * _MICRO))
+            ppl.append(math.exp(-lp / len(toks)) if toks else float("nan"))
+        out = batch.drop_columns([text_col])
+        out = out.append_column("n_tokens", pa.array(n_tokens, pa.int64()))
+        out = out.append_column("logprob_micro", pa.array(lp_micro, pa.int64()))
+        return out.append_column("ppl", pa.array(ppl, pa.float64()))
+
+    return docs.map_batches(score, batch_format="pyarrow")
 
 
 def ppl_buckets(

@@ -143,7 +143,7 @@ def corpus_report(
 ) -> dict:
     """One-command corpus data card over a documents table — the
     profiling front door a new corpus gets before any cleaning run.
-    Three streaming passes, every driver collection bounded:
+    Up to five streaming scans, every driver collection bounded:
 
     1. :func:`profile_columns` over every column (per-block partials);
     2. ONE chained text pass (``token_count_batch`` →
@@ -152,7 +152,12 @@ def corpus_report(
        language histogram (closed set ``ja|en|other|''``), so the
        reduce is layout-free and bit-deterministic;
     3. one-pass approximate token-count quantiles
-       (``sketch.quantiles_approx`` hash reservoir, p50/p90/p99).
+       (``sketch.quantiles_approx`` hash reservoir, p50/p90/p99);
+    4. with ``url_col``: the two ``sketch.heavy_hitters`` passes
+       (Misra-Gries candidates, then exact counts) for ``top_domains``.
+
+    A derived input re-executes its upstream once per scan: pass a
+    source-backed Dataset (a parquet read, as the CLI does).
 
     Returns a plain JSON-serializable dict. Mean columns are integer
     micro units (floor division), the repo-wide oracle discipline.

@@ -223,7 +223,7 @@ def domain_of(url: str | None, *, strip_www: bool = True) -> str | None:
     if not host:
         return None
     host = host.lower()
-    if strip_www and host.startswith("www.") and len(host) > 4:
+    if strip_www and host.startswith("www.") and host.count(".") >= 2:
         host = host[4:]
     return host
 

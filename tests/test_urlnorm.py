@@ -238,6 +238,30 @@ def test_domain_of_rules():
     assert domain_of(canonicalize_url(u)) == domain_of(u) == "example.com"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.text(st.sampled_from("abcw09-"), min_size=1, max_size=4),
+        min_size=0,
+        max_size=3,
+    ),
+    st.sampled_from(["", ":8080"]),
+)
+def test_domain_of_agrees_with_canonicalize_on_www(labels, port):
+    """domain_of strips ``www.`` under the same rule as canonicalize_url
+    (only when a dot remains after it): ``www.com`` is a host, not a
+    ``www.`` prefix on ``com``."""
+    from urllib.parse import urlsplit
+
+    from jamie_ray.functions.urlnorm import domain_of
+
+    assert domain_of("https://www.com/x") == "www.com"
+    assert domain_of("https://WWW.co") == "www.co"
+    for host in (".".join(["www"] + labels), ".".join(labels) or "a"):
+        url = f"https://{host}{port}/p"
+        assert domain_of(url) == urlsplit(canonicalize_url(url)).hostname
+
+
 def test_add_domain_and_group_sample_compose(ray_session):
     """The domain-cap workflow: add_domain -> group_sample(key=domain)
     keeps at most k docs per domain, deterministically."""
