@@ -1539,7 +1539,7 @@ def oracle_sql() -> dict[str, str]:
             ) WHERE rn <= 3
         """,
         # ---- text analysis (regexes shared with the Arrow kernels)
-        "doc_analysis": f"""
+        "doc_analysis": rf"""
             SELECT doc_id,
                    len(regexp_extract_all(text, '{TOKEN_RE}')) AS n_tokens,
                    len(regexp_extract_all(text, '{BPE_RE}')) AS n_bpe,

@@ -14,6 +14,10 @@ Everything before ``link`` is a straight-line streaming plan: blocks
 flow with backpressure, nothing materializes the corpus. The driver
 never iterates rows; the only driver-side state is the verified LSH
 edge list (see ``stages/link.py``).
+
+``materialize_graph`` cuts this plan at the assemble write: each
+resumable shard stops at its raw triples on disk, and one finalize
+pass runs link -> dedup -> sort over all of them.
 """
 
 from __future__ import annotations
@@ -302,39 +306,35 @@ def materialize_graph(
 ) -> dict:
     """Resumable sorted graph materialize (north rule's final write).
 
-    Two levels:
-
-    1. **Heavy, resumable — at SUB-shard granularity**: the input is
-       split into ``n_shards`` shards; each unfinished shard runs
-       extract->score->assemble, CHECKPOINTS the assembled triples to
-       ``out_dir/shard=N.triples/`` (completion marker
-       ``_SCORED.json``, carrying the shard's page/chunk lineage
-       totals), then runs link->dedup FROM THE CHECKPOINT and writes
-       ``out_dir/shard=N/`` plus a lineage record. A rerun reads the
-       manifest and skips finished shards; an UNFINISHED shard whose
-       score checkpoint exists resumes at link — the expensive scoring
-       compute (hours per shard at 100 TB) is never repeated even when
-       the kill lands mid-shard. Checkpoints are deleted once their
-       shard's manifest record lands (and lazily for already-done
-       shards).
+    1. **Shards — heavy, resumable**: the input is split into
+       ``n_shards`` shards; each unfinished shard runs read -> extract
+       -> chunk -> score -> assemble and writes its raw mention-level
+       triples to ``out_dir/shard=N/``, then appends its lineage record.
+       That parquet is the checkpoint: a rerun reads the manifest and
+       skips finished shards, so finished shards are never rescored
+       (hours per shard at 100 TB). A shard killed before its record
+       lands reruns in full, after clearing its orphan files.
 
        Shard assignment prefers **file-level pruning**: with a
        multi-file input (the real 100 TB layout), shard N reads only
        its own files — no full-corpus rescan per shard. A single-file
        input (small-scale fixtures) falls back to a ``hash(url)``
        row filter, which does rescan and is flagged in lineage.
-    2. **Cheap, idempotent finalize**: a global **re-link** over the
-       shard outputs (per-shard linking can assign the same surface
-       different canonical ids depending on which cluster members its
-       shard saw — the finalize pass rebuilds one global canonical map
-       from all shard surfaces so identical logical triples share ids)
-       followed by dedup + ``sort`` on (subj_id, pred, obj_id) and the
-       write of ``out_dir/graph/``. The relink input is the already
-       per-shard-deduplicated rows — tiny relative to the corpus.
+    2. **Finalize — one global pass**: a single ``link_triples`` over
+       every shard file, then dedup + ``sort`` on (subj_id, pred,
+       obj_id) and the write of ``out_dir/graph/``. That is
+       :func:`build_graph`'s plan over the same triples, so a link
+       chain that crosses shards resolves to one entity and the
+       materialized graph equals ``build_graph`` by construction.
+       Finalize runs on every call (a full rewrite, idempotent).
 
-    Returns the run summary (shards run/skipped, rows, wall time).
+    Returns the run summary: shards run/skipped, graph rows, and the
+    finalize link's blocking-cap truncations
+    (``n_truncated_candidates``; an empty dict = no recall lost).
     """
     import pyarrow as pa
+
+    from ..state.caps import cap_totals, new_cap_counters
 
     done = read_manifest(out_dir)
     # resume guard: a rerun with a different n_shards (or input) would
@@ -356,16 +356,8 @@ def materialize_graph(
     input_files = _input_parquet_files(pages_path)
     by_files = len(input_files) >= n_shards
 
-    import json
-    import shutil
-
     for shard in range(n_shards):
-        ck_dir = f"{out_dir}/shard={shard}.triples"
-        ck_marker = os.path.join(ck_dir, "_SCORED.json")
         if shard in done:
-            # lazy cleanup: a crash between manifest append and
-            # checkpoint delete can leave an orphan checkpoint behind
-            shutil.rmtree(ck_dir, ignore_errors=True)
             continue
         t0 = time.time()
 
@@ -387,77 +379,46 @@ def materialize_graph(
 
             fingerprint = f"urlhash[{shard}/{n_shards}] (single-file rescan)"
 
-        from ..state.caps import cap_totals, new_cap_counters
+        # lineage counters ride the ONE shard pipeline as side
+        # aggregates (VERDICT r1 item 7: no extra corpus passes) — the
+        # taps report per-batch counts to a zero-cpu actor with
+        # idempotency keys, FIRE-AND-FORGET (the hot path never blocks
+        # on an actor round trip; retried tasks overwrite their own
+        # keys, so totals stay exact)
+        counters = _ShardCounters.remote()
 
-        if os.path.exists(ck_marker):
-            # mid-shard resume: the expensive half (extract -> score ->
-            # assemble) already ran to completion — its output and its
-            # page/chunk lineage totals are on disk; go straight to link
-            with open(ck_marker, encoding="utf-8") as f:
-                totals = json.load(f)["totals"]
-        else:
-            # lineage counters ride the ONE shard pipeline as side
-            # aggregates (VERDICT r1 item 7: no extra corpus passes) —
-            # the taps report per-batch counts to a zero-cpu actor with
-            # idempotency keys, FIRE-AND-FORGET (the hot path never
-            # blocks on an actor round trip; retried tasks overwrite
-            # their own keys, so totals stay exact)
-            counters = _ShardCounters.remote()
+        def tap_pages(b):
+            import pyarrow.compute as _pc
 
-            def tap_pages(b):
-                import pyarrow.compute as _pc
-
-                q = _pc.sum(_pc.not_equal(b.column("error"), "")).as_py() or 0
-                counters.record_pages.remote(
-                    _batch_fingerprint(b, "url"), b.num_rows - q, q
-                )
-                return b
-
-            def tap_chunks(b):
-                key = stable_hash64(
-                    _batch_fingerprint(b, "url"),
-                    b.column("chunk_id")[0].as_py() if b.num_rows else -1,
-                    b.column("chunk_id")[-1].as_py() if b.num_rows else -1,
-                )
-                counters.record_chunks.remote(key, b.num_rows)
-                return b
-
-            pages = read_pages(shard_input, shard_filter=shard_filter)
-            extracted = extracted_pages(
-                pages, lang, decode_errors=decode_errors
-            ).map_batches(tap_pages, batch_format="pyarrow")
-            chunks = chunk_pages(extracted, analyzer=analyzer).map_batches(
-                tap_chunks, batch_format="pyarrow"
+            q = _pc.sum(_pc.not_equal(b.column("error"), "")).as_py() or 0
+            counters.record_pages.remote(
+                _batch_fingerprint(b, "url"), b.num_rows - q, q
             )
-            tagged = score_chunks(
-                chunks,
-                concurrency=concurrency,
-                batch_size=batch_size,
-                analyzer=analyzer,
-            )
-            triples = tagged.map_batches(assemble_batch, batch_format="pyarrow")
-            # score checkpoint: the reduced triples land on disk BEFORE
-            # link/dedup; the _SCORED.json marker (written atomically,
-            # AFTER the parquet) makes the checkpoint all-or-nothing —
-            # a kill mid-write leaves no marker and scoring reruns
-            os.makedirs(ck_dir, exist_ok=True)
-            for stale in _parquet_files(ck_dir):
-                os.unlink(stale)
-            triples.write_parquet(ck_dir)
-            totals = cap_totals(counters)  # settled read (state/caps.py)
-            tmp = os.path.join(ck_dir, ".scored-tmp")
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump({"totals": {k: int(v) for k, v in totals.items()}}, f)
-            os.replace(tmp, ck_marker)
-            if _fail_after_checkpoint == shard:
-                raise RuntimeError(
-                    f"injected kill after score checkpoint of shard {shard}"
-                )
+            return b
 
-        # blocking-cap observability (no-silent-caps rule): hot-band
-        # truncations inside the linker are counted per shard and land
-        # in the lineage record below
-        caps = new_cap_counters()
+        def tap_chunks(b):
+            key = stable_hash64(
+                _batch_fingerprint(b, "url"),
+                b.column("chunk_id")[0].as_py() if b.num_rows else -1,
+                b.column("chunk_id")[-1].as_py() if b.num_rows else -1,
+            )
+            counters.record_chunks.remote(key, b.num_rows)
+            return b
+
+        pages = read_pages(shard_input, shard_filter=shard_filter)
+        extracted = extracted_pages(
+            pages, lang, decode_errors=decode_errors
+        ).map_batches(tap_pages, batch_format="pyarrow")
+        chunks = chunk_pages(extracted, analyzer=analyzer).map_batches(
+            tap_chunks, batch_format="pyarrow"
+        )
+        tagged = score_chunks(
+            chunks,
+            concurrency=concurrency,
+            batch_size=batch_size,
+            analyzer=analyzer,
+        )
+        triples = tagged.map_batches(assemble_batch, batch_format="pyarrow")
         shard_dir = f"{out_dir}/shard={shard}"
         os.makedirs(shard_dir, exist_ok=True)
         # resume crash window: a prior run may have died after writing
@@ -466,43 +427,30 @@ def materialize_graph(
         # would read both copies and double-count provenance
         for stale in _parquet_files(shard_dir):
             os.unlink(stale)
-        ck_files = _parquet_files(ck_dir)
-        if ck_files:
-            # link/dedup consume the checkpoint (link reads it twice —
-            # a disk-backed source, so no in-memory materialize needed)
-            linked = link_triples(
-                ray.data.read_parquet(ck_files),
-                cap_counters=caps,
-                cache_input=False,
+        triples.write_parquet(shard_dir)
+        if _fail_after_checkpoint == shard:
+            raise RuntimeError(
+                f"injected kill after the triples of shard {shard}"
             )
-            dedup_triples(linked).write_parquet(shard_dir)
-        n_triples = _count_parquet_rows(shard_dir)
-        truncations = cap_totals(caps)
+        totals = cap_totals(counters)  # settled read (state/caps.py)
         append_manifest(
             out_dir,
             {
                 "shard": shard,
                 "n_pages": int(totals["n_pages"]),
                 "n_chunks": int(totals["n_chunks"]),
-                "n_triples": int(n_triples),
+                # raw mention-level triples (linking and dedup run once,
+                # in finalize)
+                "n_triples": int(_count_parquet_rows(shard_dir)),
                 "n_quarantined_pages": int(totals["n_quarantined_pages"]),
-                # dropped-candidate counts from capped blocking kernels
-                # (0s mean no recall was lost to caps this shard);
-                # best-effort observability — see state/caps.py: a
-                # worker dying post-task pre-flush can undercount
-                "n_truncated_candidates": {
-                    k: int(v) for k, v in sorted(truncations.items())
-                },
                 "input_fingerprint": f"{pages_path}#{fingerprint}",
                 "wall_time_s": round(time.time() - t0, 3),
             },
         )
-        # the manifest record is durable — the checkpoint served its
-        # purpose and the finalize pass must not re-read it
-        shutil.rmtree(ck_dir, ignore_errors=True)
         summary["shards_run"] += 1
 
-    # finalize: global dedup + sorted write (idempotent)
+    # finalize: ONE link over every shard's triples, then dedup + sorted
+    # write (idempotent full rewrite)
     shard_files = [
         f
         for s in range(n_shards)
@@ -510,20 +458,26 @@ def materialize_graph(
     ]
     graph_dir = f"{out_dir}/graph"
     os.makedirs(graph_dir, exist_ok=True)
-    for stale in _parquet_files(graph_dir):  # finalize is a full rewrite
+    for stale in _parquet_files(graph_dir):
         os.unlink(stale)
+    # blocking-cap observability (no-silent-caps rule): hot-band
+    # truncations inside the linker; best-effort — see state/caps.py: a
+    # worker dying post-task pre-flush can undercount
+    caps = new_cap_counters()
     if shard_files:
-        all_shards = ray.data.read_parquet(shard_files)
-        # strip the per-shard ids, rebuild them against a GLOBAL
-        # canonical map (see docstring point 2)
-        stripped = all_shards.map_batches(
-            lambda b: b.drop_columns(["subj_id", "obj_id"]),
-            batch_format="pyarrow",
+        # the shard files are source-backed, so link re-reads them for
+        # its second pass instead of caching an object-store copy
+        linked = link_triples(
+            ray.data.read_parquet(shard_files),
+            cap_counters=caps,
+            cache_input=False,
         )
-        relinked = link_triples(stripped)
-        final = dedup_triples(relinked).sort(["subj_id", "pred", "obj_id"])
+        final = dedup_triples(linked).sort(["subj_id", "pred", "obj_id"])
         final.write_parquet(graph_dir)
     summary["n_triples"] = _count_parquet_rows(graph_dir)
+    summary["n_truncated_candidates"] = {
+        k: int(v) for k, v in sorted(cap_totals(caps).items())
+    }
     return summary
 
 

@@ -291,26 +291,6 @@ def _rewrite_batch(batch: pa.Table, canonical: dict, memo: dict) -> pa.Table:
     )
 
 
-class RewriteIds:
-    """Actor-pool variant of :func:`rewrite_ids_task` (kept for users
-    who want the rewrite pinned to a fixed pool; the pipeline default
-    is the task shape, which fuses with the dedup combiner)."""
-
-    def __init__(self, canonical_ref) -> None:
-        self.canonical = (
-            ray.get(canonical_ref)
-            if isinstance(canonical_ref, ray.ObjectRef)
-            else canonical_ref
-        )
-        # instance memo: persists across BATCHES (routing through
-        # rewrite_ids_task with a plain dict would mint a fresh memo
-        # per call, defeating the vocabulary-sized amortization)
-        self._memo: dict = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _rewrite_batch(batch, self.canonical, self._memo)
-
-
 def link_triples(
     triples,
     *,
@@ -357,8 +337,9 @@ def link_triples(
     elif cache_input:
         triples = triples.materialize()
     # cache_input=False: the caller vouches the input is already
-    # source-backed (e.g. read_parquet over a score checkpoint) — both
-    # passes re-read from the source, no object-store copy is made
+    # source-backed (e.g. read_parquet over materialize_graph's shard
+    # files) — both passes re-read from the source, no object-store
+    # copy is made
     # candidate generation: block-local distinct (combiner — the global
     # per-occurrence distinct shuffle is gone), band expansion, then ONE
     # shuffle on the band bucket; cross-block duplicate surfaces are
@@ -373,9 +354,10 @@ def link_triples(
         batch_format="pyarrow",
     )
     # only cluster members reach the driver: singleton surfaces resolve
-    # locally inside RewriteIds via entity_id(), so the collected edge
-    # list (post-verification) is the whole driver-side state — streamed
-    # under a hard cap so a pathological corpus fails loudly, not OOM
+    # locally inside rewrite_ids_task via entity_id(), so the collected
+    # edge list (post-verification) is the whole driver-side state —
+    # streamed under a hard cap so a pathological corpus fails loudly,
+    # not OOM
     from ..state.collect import DEFAULT_EDGE_CAP, iter_capped_batches
 
     edges: set[tuple[str, str]] = set()

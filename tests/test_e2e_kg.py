@@ -177,15 +177,10 @@ def test_materialize_resumable(corpus, tmp_path):
     )
     assert s2["shards_run"] == 0 and s2["shards_skipped"] == 3
     assert s1["n_triples"] == s2["n_triples"] > 0
-    # lineage records carry the blocking-cap truncation counts (empty
-    # dict = no recall lost to caps on this corpus)
-    from jamie_ray.state.lineage import read_manifest
-
-    recs = read_manifest(str(out))
-    assert all("n_truncated_candidates" in r for r in recs.values())
-    assert all(
-        isinstance(r["n_truncated_candidates"], dict) for r in recs.values()
-    )
+    # both summaries carry the finalize link's blocking-cap truncation
+    # counts (empty dict = no recall lost to caps on this corpus)
+    assert all("n_truncated_candidates" in s for s in (s1, s2))
+    assert all(isinstance(s["n_truncated_candidates"], dict) for s in (s1, s2))
 
 
 def test_materialize_resume_rejects_changed_shards(corpus, tmp_path):
@@ -284,23 +279,19 @@ def test_materialize_survives_pre_manifest_kill(corpus, tmp_path, monkeypatch):
 
 
 def test_materialize_midshard_resume(corpus, tmp_path, monkeypatch):
-    """Kill landing MID-shard, after the score checkpoint but before
-    link/dedup: the rerun must resume that shard AT link — zero pages
-    re-scored — and still produce the clean-run graph."""
+    """Kill landing after shard 1's triples are on disk but before its
+    lineage record: the rerun never rescores finished shard 0, clears
+    shard 1's orphan files, reruns shards 1 and 2 and produces the
+    clean-run graph."""
     pages_dir, _ = corpus
+    pages = str(pages_dir / "pages.parquet")
     out = tmp_path / "graph_midshard"
     with pytest.raises(RuntimeError, match="injected kill"):
-        kg.materialize_graph(
-            str(pages_dir / "pages.parquet"), str(out), n_shards=3,
-            _fail_after_checkpoint=0,
-        )
-    # the expensive half of shard 0 is on disk with its marker
-    ck = out / "shard=0.triples"
-    assert (ck / "_SCORED.json").exists()
-    assert any(f.suffix == ".parquet" for f in ck.iterdir())
+        kg.materialize_graph(pages, str(out), n_shards=3, _fail_after_checkpoint=1)
+    orphans = {f.name for f in (out / "shard=1").glob("*.parquet")}
+    assert orphans
 
-    # count scoring-pipeline constructions on the rerun: shard 0 must
-    # NOT re-score (resume goes straight to link from the checkpoint)
+    # count scoring-pipeline constructions on the rerun
     import jamie_ray.pipelines.kg as kgmod
 
     calls = {"n": 0}
@@ -311,48 +302,118 @@ def test_materialize_midshard_resume(corpus, tmp_path, monkeypatch):
         return real_score(*a, **kw)
 
     monkeypatch.setattr(kgmod, "score_chunks", counting_score)
-    s = kg.materialize_graph(
-        str(pages_dir / "pages.parquet"), str(out), n_shards=3
-    )
-    assert s["shards_run"] == 3 and calls["n"] == 2  # shards 1, 2 only
-    # checkpoints are cleaned up once manifests land
-    assert not ck.exists()
+    s = kg.materialize_graph(pages, str(out), n_shards=3)
+    assert s["shards_skipped"] == 1 and s["shards_run"] == 2
+    assert calls["n"] == 2  # shards 1 and 2 only
+    assert not orphans & {f.name for f in (out / "shard=1").glob("*.parquet")}
 
-    # lineage totals for shard 0 came from the checkpoint marker, not a
-    # re-run tap: the manifest still carries real page/chunk counts
     from jamie_ray.state.lineage import read_manifest
 
     rec0 = read_manifest(str(out))[0]
     assert rec0["n_pages"] > 0 and rec0["n_chunks"] > 0
 
+    monkeypatch.setattr(kgmod, "score_chunks", real_score)
     clean = tmp_path / "graph_midshard_clean"
-    s2 = kg.materialize_graph(
-        str(pages_dir / "pages.parquet"), str(clean), n_shards=3
-    )
-    import ray.data
+    s2 = kg.materialize_graph(pages, str(clean), n_shards=3)
+    assert _graph_rows(out / "graph") == _graph_rows(clean / "graph")
+    assert s["n_triples"] == s2["n_triples"]
 
-    a = sorted(map(tuple, (tuple(r.values()) for r in
-               ray.data.read_parquet(str(out / "graph")).take_all())))
-    b = sorted(map(tuple, (tuple(r.values()) for r in
-               ray.data.read_parquet(str(clean / "graph")).take_all())))
-    assert a == b and s["n_triples"] == s2["n_triples"]
+
+def _graph_rows(graph_dir) -> list[dict]:
+    """A materialized graph's rows, files concatenated in name order."""
+    import pyarrow.parquet as pq
+
+    files = sorted(graph_dir.glob("*.parquet"))
+    return [r for f in files for r in pq.read_table(f).to_pylist()]
+
+
+def _split_pages(pages: pa.Table, dest, n: int) -> str:
+    """Write ``pages`` as ``n`` consecutive parquet files under ``dest``."""
+    import pyarrow.parquet as pq
+
+    dest.mkdir()
+    step = (pages.num_rows + n - 1) // n
+    for i in range(n):
+        pq.write_table(pages.slice(i * step, step), dest / f"part-{i}.parquet")
+    return str(dest)
+
+
+@pytest.mark.parametrize("n_files,n_shards", [(1, 1), (1, 3), (4, 4)])
+def test_materialize_equals_build_graph(corpus, tmp_path, n_files, n_shards):
+    """The materialized graph is build_graph's graph sorted on
+    (subj_id, pred, obj_id), row for row, for url-hash shards of one
+    file and for file-level shards."""
+    pages_dir, tables = corpus
+    if n_files == 1:
+        pages = str(pages_dir / "pages.parquet")
+    else:
+        pages = _split_pages(tables["pages"], tmp_path / "pages_split", n_files)
+    out = tmp_path / "graph_diff"
+    kg.materialize_graph(pages, str(out), n_shards=n_shards)
+    expected = kg.build_graph(pages).sort(["subj_id", "pred", "obj_id"]).take_all()
+    got = _graph_rows(out / "graph")
+    assert len(got) == len(expected) > 0
+    assert got == expected
+
+
+def test_materialize_links_across_shards(corpus, tmp_path, monkeypatch):
+    """A link chain split over two shards (a~b planted in shard 0, b~c
+    in shard 1, a and c dissimilar) is one entity in the materialized
+    graph, as in build_graph."""
+    import jamie_ray.pipelines.kg as kgmod
+
+    _, tables = corpus
+    pages = _split_pages(tables["pages"], tmp_path / "pages_two", 2)
+    half = (tables["pages"].num_rows + 1) // 2
+    file_urls = [
+        set(tables["pages"]["url"].to_pylist()[:half]),
+        set(tables["pages"]["url"].to_pylist()[half:]),
+    ]
+    chunk_keys = sorted(
+        zip(
+            tables["expected_chunks"]["url"].to_pylist(),
+            tables["expected_chunks"]["chunk_id"].to_pylist(),
+        )
+    )
+    key0 = next(k for k in chunk_keys if k[0] in file_urls[0])
+    key1 = next(k for k in chunk_keys if k[0] in file_urls[1])
+    a, b, c = "abcdefghijklm", "cdefghijklmno", "efghijklmnopq"
+    plants = {key0: [a, b], key1: [c]}
+
+    def planted_assemble(batch):
+        # stands in for assemble_batch: only the planted raw triples
+        # of the two chosen chunks reach the shard output
+        from jamie_ray.schemas import TRIPLES
+
+        rows = [
+            {"subj": s, "pred": "r", "obj": "x", "subj_type": "d",
+             "obj_type": "a", "subj_mod": "_", "url": u, "chunk_id": cid}
+            for u, cid in zip(
+                batch.column("url").to_pylist(),
+                batch.column("chunk_id").to_pylist(),
+            )
+            for s in plants.get((u, cid), ())
+        ]
+        return pa.Table.from_pylist(rows, schema=TRIPLES)
+
+    monkeypatch.setattr(kgmod, "assemble_batch", planted_assemble)
+    out = tmp_path / "graph_chain"
+    s = kg.materialize_graph(pages, str(out), n_shards=2)
+    assert s["shards_run"] == 2
+    got = _graph_rows(out / "graph")
+    assert [(r["subj"], r["n_sources"]) for r in got] == [(a, 3)]
+    expected = kg.build_graph(pages).sort(["subj_id", "pred", "obj_id"]).take_all()
+    assert got == expected
 
 
 def test_materialize_file_sharded(corpus, tmp_path):
     """Multi-file input -> shards prune at the file level (no rescans)
     and produce the same graph as the single-file path."""
-    import pyarrow.parquet as pq
-
     pages_dir, tables = corpus
-    multi = tmp_path / "pages_multi"
-    multi.mkdir()
-    pages = tables["pages"]
-    step = (pages.num_rows + 3) // 4
-    for i in range(4):
-        pq.write_table(pages.slice(i * step, step), multi / f"part-{i}.parquet")
+    multi = _split_pages(tables["pages"], tmp_path / "pages_multi", 4)
 
     out = tmp_path / "graph_files"
-    s = kg.materialize_graph(str(multi), str(out), n_shards=4)
+    s = kg.materialize_graph(multi, str(out), n_shards=4)
     assert s["shards_run"] == 4
 
     from jamie_ray.state.lineage import read_manifest

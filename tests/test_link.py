@@ -90,32 +90,36 @@ def test_link_triples_end_to_end(ray_session):
     assert by_url["u1"]["obj_id"] == by_url["u2"]["obj_id"]
 
 
-def test_global_relink_unifies_shard_ids(ray_session):
-    """Per-shard linking can assign inconsistent canonical ids; the
-    materialize finalize relink must unify them (code-review finding)."""
+def test_single_link_resolves_cross_shard_chain(ray_session):
+    """A link chain that crosses shards (a~b seen in shard 0, b~c in
+    shard 1, a and c dissimilar) is one entity when the union of the
+    shards' RAW triples is linked once, as materialize_graph's finalize
+    does. Linking each shard and relinking the deduplicated shard
+    outputs would split it: only a's and c's surfaces reach the relink."""
     import ray.data
 
     from jamie_ray.stages.dedup import dedup_triples
 
-    a, b = "インフルエンザ", "インフルエンザあ"  # jaccard ~0.83 > 0.6
-    # shard 0 saw both surfaces -> canonicalized B to A's cluster;
-    # shard 1 saw only B -> kept B standalone. Simulate shard OUTPUT
-    # rows (already per-shard deduped, with n_sources).
-    shard_rows = [
-        {"subj_id": link.entity_id(a), "pred": "r", "obj_id": link.entity_id("x"),
-         "subj": a, "obj": "x", "subj_type": "d", "obj_type": "a",
-         "subj_mod": "_", "n_sources": 2, "url": "u1", "chunk_id": 0},
-        {"subj_id": link.entity_id(b), "pred": "r", "obj_id": link.entity_id("x"),
-         "subj": b, "obj": "x", "subj_type": "d", "obj_type": "a",
-         "subj_mod": "_", "n_sources": 3, "url": "u2", "chunk_id": 0},
-    ]
-    ds = ray.data.from_items(shard_rows)
-    stripped = ds.map_batches(
-        lambda t: t.drop_columns(["subj_id", "obj_id"]), batch_format="pyarrow"
-    )
-    final = dedup_triples(link.link_triples(stripped)).take_all()
-    assert len(final) == 1, f"expected one merged triple, got {final}"
-    assert final[0]["n_sources"] == 5
+    a, b, c = "abcdefghijklm", "cdefghijklmno", "efghijklmnopq"
+    na, nb, nc = (link.normalize_surface(s) for s in (a, b, c))
+    # only chain neighbours are linkable: a~b and b~c share a band and
+    # pass the threshold (0.69), a~c does not (0.47)
+    for x, y in ((na, nb), (nb, nc)):
+        assert link.jaccard(x, y) >= link.DEFAULT_THRESHOLD
+        assert set(link.minhash_bands(x)) & set(link.minhash_bands(y))
+    assert link.jaccard(na, nc) < link.DEFAULT_THRESHOLD
+
+    def raw(subj, url):
+        return {"subj": subj, "pred": "r", "obj": "x", "subj_type": "d",
+                "obj_type": "a", "subj_mod": "_", "url": url, "chunk_id": 0}
+
+    shard0 = [raw(a, "u1"), raw(b, "u2")]
+    shard1 = [raw(c, "u3")]
+    final = dedup_triples(
+        link.link_triples(ray.data.from_items(shard0 + shard1))
+    ).take_all()
+    assert len(final) == 1, f"expected one entity, got {final}"
+    assert final[0]["n_sources"] == 3
     assert final[0]["url"] == "u1"  # min provenance
 
 
