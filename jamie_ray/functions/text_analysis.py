@@ -111,18 +111,17 @@ def winnow_fingerprints(
     n = len(text)
     if n < k:
         return []
-    base = np.uint64(1_000_003)
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
     codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32).astype(np.uint64)
-    # rolling hash of all k-grams, vectorized via cumulative powers
-    pows = np.empty(k, dtype=np.uint64)
-    pows[0] = np.uint64(1)
-    for i in range(1, k):
-        pows[i] = (pows[i - 1] * base) & mask
+    # rolling hash of all k-grams, vectorized via cumulative powers; the
+    # hash wraps mod 2**64 on purpose, and uint64 array ops wrap silently
+    # where scalar ops warn
+    pows = np.full(k, 1_000_003, dtype=np.uint64)
+    pows[0] = 1
+    pows = np.cumprod(pows)  # base**i
     m = n - k + 1
     grams = np.zeros(m, dtype=np.uint64)
     for j in range(k):  # k is small; m-length vector ops inside
-        grams = (grams + codes[j : j + m] * pows[k - 1 - j]) & mask
+        grams = grams + codes[j : j + m] * pows[k - 1 - j]
     if m <= window:
         return [int(x) - (1 << 64) if int(x) >= (1 << 63) else int(x)
                 for x in [grams.min()]]

@@ -106,6 +106,26 @@ def test_winnow_fingerprints():
     assert winnow_fingerprints("ab") == []
 
 
+def test_winnow_wraps_without_warnings():
+    """The rolling hash wraps mod 2**64 on purpose; it must do so in
+    array ops, which wrap silently, and still match the independent
+    Python-int Horner hash."""
+    import warnings
+
+    import pyarrow as pa
+
+    from jamie_ray.fixtures import _winnow_expected
+    from jamie_ray.functions.text_analysis import winnow_batch, winnow_fingerprints
+
+    texts = ["abcdefghij" * 3, "熱が出た。" * 9, "short", "x" * 8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [winnow_fingerprints(t) for t in texts]
+        batch = winnow_batch(pa.table({"text": pa.array(texts + [None], pa.string())}))
+    assert got == [_winnow_expected(t) for t in texts]
+    assert batch.column("fingerprints").to_pylist() == got + [[]]
+
+
 # ---- brat reader (S9 input direction, r3) ---------------------------------
 
 def test_brat_reader_error_counting():
