@@ -3,10 +3,13 @@
 Re-implements ``TupleEvaluator`` (/root/reference/clinical_eval.py:
 54-108) — per-class tps/fps/fns with multiset matching-with-removal,
 micro/macro P/R/F1 — as the partial-aggregation pattern: gold and pred
-rows are unioned with a side column, grouped by sentence key
-``(url, chunk_id)``, each group emits per-class partial counts, a tiny
-``groupby('cls').sum()`` reduces them, and the final P/R/F1 math runs on
-the driver over a handful of rows.
+rows are unioned with a side column and sorted on the sentence key
+``(url, chunk_id)`` (``shuffle.sorted_reduce``). Multiset
+matching-with-removal is ``tps = min(gold_n, pred_n)`` per distinct
+tuple of a sentence, so each sorted block counts its tuples with one
+Arrow ``group_by`` and emits per-class partial counts; the driver sums
+the small (blocks x classes) partial table and runs the P/R/F1 math.
+:func:`match_tuples` is the per-sentence reference of that rule.
 
 The reference's 1e-10 smoothing initializer (clinical_eval.py:60) is a
 divide-by-zero guard, not semantics; :func:`calculate_f1` reproduces the
@@ -17,7 +20,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .shuffle import sorted_reduce
 
 _SKIP_CLASSES = ("N", "O", "_", "OO")  # clinical_eval.py:70,79
 
@@ -55,20 +62,52 @@ def match_tuples(
     return counts
 
 
-def _group_partials(group: pa.Table, tuple_cols: list[str], rel_col: int) -> pa.Table:
-    sides = group.column("__side").to_pylist()
-    tup_vals = list(zip(*[group.column(c).to_pylist() for c in tuple_cols]))
-    gold = [t for t, s in zip(tup_vals, sides) if s == 0]
-    pred = [t for t, s in zip(tup_vals, sides) if s == 1]
-    counts = match_tuples(gold, pred, rel_col)
-    rows = [(cls, c[0], c[1], c[2]) for cls, c in counts.items()]
-    return pa.table(
+_PARTIAL_SCHEMA = pa.schema(
+    [("cls", pa.string()), ("tps", pa.int64()), ("fps", pa.int64()), ("fns", pa.int64())]
+)
+
+
+def _codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
+    """Null-safe group key: dictionary indices with null as its own
+    entry. pyarrow's multi-key ``group_by`` splits rows whose string key
+    is null into several groups, so nulls never reach the grouper."""
+    return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
+
+
+def _block_partials(block: pa.Table, keys: list[str], cls_col: str) -> pa.Table:
+    """Per-class (tps, fps, fns) of one sorted block, which holds whole
+    ``(url, chunk_id)`` sentences: every distinct tuple of a sentence
+    matches ``min(gold_n, pred_n)`` times (:func:`match_tuples`)."""
+    codes = {k: _codes(block.column(k)) for k in keys}
+    side = block.column("__side")
+    work = pa.table(
         {
-            "cls": pa.array([r[0] for r in rows], pa.string()),
-            "tps": pa.array([r[1] for r in rows], pa.int64()),
-            "fps": pa.array([r[2] for r in rows], pa.int64()),
-            "fns": pa.array([r[3] for r in rows], pa.int64()),
+            **{k: c.indices for k, c in codes.items()},
+            "__g": pc.cast(pc.equal(side, 0), pa.int64()),
+            "__p": pc.cast(pc.equal(side, 1), pa.int64()),
         }
+    )
+    per = work.group_by(keys, use_threads=False).aggregate(
+        [("__g", "sum"), ("__p", "sum")]
+    )
+    cls = pc.cast(codes[cls_col].dictionary.take(per.column(cls_col)), pa.string())
+    keep = pc.invert(pc.is_in(cls, value_set=pa.array(_SKIP_CLASSES, pa.string())))
+    g = per.column("__g_sum").filter(keep)
+    p = per.column("__p_sum").filter(keep)
+    tps = pc.min_element_wise(g, p)
+    counts = pa.table(
+        {
+            "cls": cls.filter(keep),
+            "tps": tps,
+            "fps": pc.subtract(p, tps),
+            "fns": pc.subtract(g, tps),
+        }
+    ).group_by("cls", use_threads=False).aggregate(
+        [("tps", "sum"), ("fps", "sum"), ("fns", "sum")]
+    )
+    return pa.table(
+        [counts.column(c if c == "cls" else f"{c}_sum") for c in _PARTIAL_SCHEMA.names],
+        schema=_PARTIAL_SCHEMA,
     )
 
 
@@ -84,14 +123,19 @@ def evaluate_datasets(
 
     ``tuple_cols`` defines the tuple identity (e.g. subj/pred/obj/...);
     ``rel_col`` indexes the class column within it (reference default:
-    last). Returns {"micro"|"macro": (p, r, f1), "per_class": {...}}.
+    last). ``f1_mode`` ("micro" or "macro") picks which F1 is reported
+    as ``"f1"``. Returns {"micro"|"macro": (p, r, f1), "per_class":
+    {...}}.
     """
-    cols = ["url", "chunk_id", *tuple_cols]
+    if f1_mode not in ("micro", "macro"):
+        raise ValueError(f"f1_mode must be 'micro' or 'macro', got {f1_mode!r}")
+    keys = list(dict.fromkeys(["url", "chunk_id", *tuple_cols]))
+    cls_col = tuple_cols[rel_col]
 
     def _side(side_val: int):
         def add(batch: pa.Table) -> pa.Table:
-            return batch.select(cols).append_column(
-                "__side", pa.array([side_val] * batch.num_rows, pa.int8())
+            return batch.select(keys).append_column(
+                "__side", pa.array(np.full(batch.num_rows, side_val, np.int8))
             )
 
         return add
@@ -99,17 +143,23 @@ def evaluate_datasets(
     unioned = gold.map_batches(_side(0), batch_format="pyarrow").union(
         pred.map_batches(_side(1), batch_format="pyarrow")
     )
-    partials = unioned.groupby(["url", "chunk_id"]).map_groups(
-        lambda g: _group_partials(g, tuple_cols, rel_col),
-        batch_format="pyarrow",
+    partials = sorted_reduce(
+        unioned,
+        ["url", "chunk_id"],
+        lambda b: _block_partials(b, keys, cls_col),
     )
-    reduced = partials.groupby("cls").sum(["tps", "fps", "fns"])
+    sums: dict[str | None, list[int]] = defaultdict(lambda: [0, 0, 0])
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+        for cls, *c in zip(*(b.column(n).to_pylist() for n in _PARTIAL_SCHEMA.names)):
+            acc = sums[cls]
+            for i in range(3):
+                acc[i] += c[i]
     per_class: dict[str, tuple[float, float, float, int, int, int]] = {}
     totals = [0, 0, 0]
-    rows = reduced.take_all()
-    for row in rows:
-        tps, fps, fns = row["sum(tps)"], row["sum(fps)"], row["sum(fns)"]
-        per_class[row["cls"]] = (*calculate_f1(tps, fps, fns), tps, fps, fns)
+    # sorted class order (None last) keeps the macro float sum stable
+    for cls in sorted(sums, key=lambda c: (c is None, c or "")):
+        tps, fps, fns = sums[cls]
+        per_class[cls] = (*calculate_f1(tps, fps, fns), tps, fps, fns)
         totals[0] += tps
         totals[1] += fps
         totals[2] += fns
@@ -179,8 +229,6 @@ def mask_attrib_batch(
     outside the task's family get their modality masked to ``'_'``
     (the reference recognizes attributes only for the selected family —
     ner_labels_to_masks, utils.py:1268-1290)."""
-    import pyarrow.compute as pc
-
     in_family = pc.is_in(
         batch.column(tag_col), value_set=pa.array(_task_tags(task), pa.string())
     )
@@ -202,8 +250,6 @@ def evaluate_mod_task(gold, pred, task: str, f1_mode: str = "micro") -> dict:
     tags = _task_tags(task)
 
     def family(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return batch.filter(
             pc.is_in(
                 batch.column("ner_tag"), value_set=pa.array(tags, pa.string())

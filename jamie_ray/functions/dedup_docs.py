@@ -1,7 +1,7 @@
 """Document deduplication family (first-class components per the brief):
 
-- **exact**: md5 key -> block-local combine -> ``groupby(text_hash)``
-  keeping min doc_id + duplicate count (hash-partition + per-group first);
+- **exact**: md5 key -> block-local combine -> sorted reduce on
+  ``text_hash`` keeping min doc_id + duplicate count;
 - **minhash-LSH near-dup**: word-shingle minhash -> banded blocking ->
   verified Jaccard pairs -> union-find clusters (same machinery as the
   entity linker, over documents);
@@ -10,8 +10,10 @@
   exposed standalone for pair scoring.
 
 Scale notes: every op pre-reduces inside ``map_batches`` before its one
-``groupby`` shuffle; cluster merging collects only *edges* to the driver
-(pairs that survived verification), never the corpus.
+sorted shuffle (``shuffle.sorted_reduce``: sort on the real key, one
+reducer call per sorted block — never a per-group dispatch); cluster
+merging collects only *edges* to the driver (pairs that survived
+verification), never the corpus.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pyarrow as pa
 import ray
 
 from ..hashing import mix64_multi, stable_hash64
+from ..shuffle import run_bounds, sorted_reduce
 from ..state.union_find import UnionFind
 
 N_HASHES = 32
@@ -61,18 +64,14 @@ def ngram_jaccard(a: str, b: str, w: int = SHINGLE_W) -> float:
 
 # -- exact dedup ------------------------------------------------------------
 
-def exact_dedup(
-    docs, text_col: str = "text", id_col: str = "doc_id", n_buckets: int = 1024
-):
+def exact_dedup(docs, text_col: str = "text", id_col: str = "doc_id"):
     """documents -> (text_hash, doc_id=min, n_dups) one row per distinct text.
 
     Pure-Arrow combiner: each block pre-reduces with ``group_by`` (min
     id + count per hash) so the one shuffle carries (block × distinct)
-    rows. The shuffle key is the COARSE ``text_hash % n_buckets``
-    bucket, never the raw hash — one ``map_groups`` dispatch per
-    distinct text would dominate at corpus scale (the repo shuffle
-    rule); the within-bucket merge is one vectorized ``group_by`` over
-    every hash in the bucket.
+    rows. The shuffle sorts on ``text_hash`` and re-runs the same
+    ``group_by`` once per sorted block (``shuffle.sorted_reduce``), over
+    every hash the block holds.
     """
     from .text_analysis import fingerprint_batch
 
@@ -91,15 +90,6 @@ def exact_dedup(
             }
         )
 
-    def _bucketed(t: pa.Table) -> pa.Table:
-        # text_hash is a hex digest string; its first 15 hex chars are a
-        # uniform int — plenty for a coarse bucket
-        b = [
-            int(h[:15], 16) % n_buckets
-            for h in t.column("text_hash").to_pylist()
-        ]
-        return t.append_column("hash_bucket", pa.array(b, pa.int64()))
-
     def local(batch: pa.Table) -> pa.Table:
         batch = fingerprint_batch(batch, text_col)
         ones = pa.table(
@@ -109,13 +99,10 @@ def exact_dedup(
                 "n_dups": pa.array([1] * batch.num_rows, pa.int64()),
             }
         )
-        return _bucketed(reduce_partials(ones))
+        return reduce_partials(ones)
 
     combined = docs.map_batches(local, batch_format="pyarrow")
-    return combined.groupby("hash_bucket").map_groups(
-        lambda g: reduce_partials(g.drop_columns(["hash_bucket"])),
-        batch_format="pyarrow",
-    )
+    return sorted_reduce(combined, "text_hash", reduce_partials)
 
 
 def incremental_dedup(
@@ -126,7 +113,6 @@ def incremental_dedup(
     *,
     edge_cap: int | None = None,
     flag_path: str = "broadcast",
-    n_buckets: int = 1024,
     bloom_bits: int = 1 << 27,
     bloom_hashes: int = 7,
 ):
@@ -143,29 +129,29 @@ def incremental_dedup(
     Two flag paths (the minhash ``candidate_path`` convention):
 
     - ``flag_path="broadcast"`` (default): both corpora reduce to
-      per-block DISTINCT ``(bucket, text_hash, side)`` rows (~33 B per
-      block-distinct text), ONE bucketed shuffle (coarse ``% 1024``
-      buckets — never one dispatch per near-singleton hash group)
-      emits only hashes present on BOTH sides, the overlap set is
+      per-block DISTINCT ``(text_hash, side)`` rows (~25 B per
+      block-distinct text), ONE sorted shuffle on ``text_hash`` (one
+      reducer call per sorted block) emits only hashes present on
+      BOTH sides, the overlap set is
       collected under ``edge_cap`` and broadcast, and a streaming pass
       returns the NEW docs' non-text columns + ``in_previous`` (0/1
       int64). Right when overlap is small (a genuinely-fresh crawl);
       for monthly snapshots where MOST text persists, the overlap is
       corpus-scale and this path fails loudly on the cap — use:
-    - ``flag_path="shuffle"``: the new side ships one ``(bucket,
-      text_hash, id)`` row per document (old side stays per-block
-      distinct with a typed null id), and the SAME bucketed shuffle
-      emits ``(id_col, in_previous)`` directly — ZERO driver-side
-      collections at any overlap mass. Output schema is narrower
+    - ``flag_path="shuffle"``: the new side ships one ``(text_hash,
+      id)`` row per document (old side stays per-block distinct with
+      a typed null id), and the SAME sorted shuffle emits ``(id_col,
+      in_previous)`` directly — ZERO driver-side collections at any
+      overlap mass. Output schema is narrower
       (id + flag only); join back on ``id_col`` if other columns are
       needed.
     - ``flag_path="bloom"``: APPROXIMATE — a Bloom filter over the
       OLD corpus's text hashes replaces both the overlap set and the
       corpus-scale shuffle of new-side rows. Per-block distinct old
       hashes emit ``(slice, bit_position)`` 16-byte rows (k positions
-      per hash via Kirsch-Mitzenmacher double hashing), ONE shuffle
-      range-partitions the bit space, each slice group builds its
-      bitmap shard, and the driver assembles ``bloom_bits/8`` bytes
+      per hash via Kirsch-Mitzenmacher double hashing), ONE sorted
+      shuffle on the slice range-partitions the bit space, each slice
+      builds its bitmap shard, and the driver assembles ``bloom_bits/8`` bytes
       rounded up to whole slices (under one extra slice, ~1/256 of the
       filter) — bounded by the CALLER-CHOSEN filter size, never by
       corpus size (16 MiB for the default ``bloom_bits=2**27``). The
@@ -200,7 +186,7 @@ def incremental_dedup(
                 f"bloom_hashes >= 1, got {bloom_bits}/{bloom_hashes}"
             )
         # byte-aligned contiguous bit-space slices: the shuffle key is
-        # the slice, so each group builds an independent bitmap shard
+        # the slice, so each slice builds an independent bitmap shard
         # and the driver reassembles m/8 bytes (rounded up to whole
         # slices; the bits past m stay 0) in slice order
         slice_bits = (-(-m // N_SLICES) + 7) // 8 * 8
@@ -236,24 +222,29 @@ def incremental_dedup(
                 }
             )
 
-        def build_slice(group: pa.Table) -> pa.Table:
-            s = int(group.column("slice")[0].as_py())
-            bits = np.zeros(slice_bytes, dtype=np.uint8)
-            pos = group.column("pos").to_numpy() - s * slice_bits
-            np.bitwise_or.at(
-                bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8)
-            )
+        def build_slices(block: pa.Table) -> pa.Table:
+            block = block.sort_by("slice")
+            sl = block.column("slice").to_numpy()
+            pos = block.column("pos").to_numpy()
+            out_s, out_bits = [], []
+            for a, e in zip(*run_bounds(block, "slice")):
+                s = int(sl[a])
+                bits = np.zeros(slice_bytes, dtype=np.uint8)
+                p = pos[a:e] - s * slice_bits
+                np.bitwise_or.at(bits, p >> 3, (1 << (p & 7)).astype(np.uint8))
+                out_s.append(s)
+                out_bits.append(bits.tobytes())
             return pa.table(
                 {
-                    "slice": pa.array([s], pa.int64()),
-                    "bits": pa.array([bits.tobytes()], pa.binary()),
+                    "slice": pa.array(out_s, pa.int64()),
+                    "bits": pa.array(out_bits, pa.binary()),
                 }
             )
 
-        slices = (
-            old_docs.map_batches(old_positions, batch_format="pyarrow")
-            .groupby("slice")
-            .map_groups(build_slice, batch_format="pyarrow")
+        slices = sorted_reduce(
+            old_docs.map_batches(old_positions, batch_format="pyarrow"),
+            "slice",
+            build_slices,
         )
         bitmap = np.zeros(n_slices * slice_bytes, dtype=np.uint8)
         # structurally bounded collection: <= n_slices rows totalling
@@ -300,46 +291,29 @@ def incremental_dedup(
         else pa.int64()
     )
 
-    def _bucket(hashes_col: list[str]) -> pa.Array:
-        h = hash_str_array(hashes_col, seed=7)
-        return pa.array(
-            (h % np.uint64(n_buckets)).astype(np.int64), pa.int64()
-        )
-
     def hashes(side: int):
         def f(batch: pa.Table) -> pa.Table:
             batch = fingerprint_batch(batch, text_col)
             if side == 1 and ship_ids:
                 # null text never matches, but its id must still be
-                # flagged (in_previous = 0): keep the row, route it to
-                # bucket 0 with a null hash — flag_group emits 0 for it
-                hs = batch.column("text_hash").to_pylist()
-                buckets = np.zeros(len(hs), dtype=np.int64)
-                valid = [i for i, h in enumerate(hs) if h is not None]
-                if valid:
-                    buckets[valid] = (
-                        hash_str_array([hs[i] for i in valid], seed=7)
-                        % np.uint64(n_buckets)
-                    ).astype(np.int64)
+                # flagged (in_previous = 0): keep the row with its null
+                # hash — flag_block emits 0 for it
                 return pa.table(
                     {
-                        "bucket": pa.array(buckets, pa.int64()),
                         "text_hash": batch.column("text_hash"),
-                        "side": pa.array([1] * len(hs), pa.int8()),
+                        "side": pa.array(np.ones(batch.num_rows, np.int8)),
                         "id": batch.column(id_col),
                     }
                 )
             # null text never matches: drop it from the shuffle
             batch = batch.filter(pc.is_valid(batch.column("text_hash")))
             gb = batch.group_by(["text_hash"]).aggregate([])
-            hs = gb.column("text_hash").to_pylist()
             out = {
-                "bucket": _bucket(hs),
                 "text_hash": gb.column("text_hash"),
-                "side": pa.array([side] * len(hs), pa.int8()),
+                "side": pa.array(np.full(gb.num_rows, side, np.int8)),
             }
             if ship_ids:
-                out["id"] = pa.nulls(len(hs), id_type)
+                out["id"] = pa.nulls(gb.num_rows, id_type)
             return pa.table(out)
 
         return f
@@ -348,8 +322,8 @@ def incremental_dedup(
         old_docs.map_batches(hashes(0), batch_format="pyarrow")
     )
 
-    def overlap(group: pa.Table) -> pa.Table:
-        gb = group.group_by(["text_hash"]).aggregate(
+    def overlap(block: pa.Table) -> pa.Table:
+        gb = block.group_by(["text_hash"]).aggregate(
             [("side", "min"), ("side", "max")]
         )
         hit = pc.and_(
@@ -359,27 +333,22 @@ def incremental_dedup(
 
     if ship_ids:
 
-        def flag_group(group: pa.Table) -> pa.Table:
-            prev = set(overlap(group).column("text_hash").to_pylist())
-            new_rows = group.filter(pc.equal(group.column("side"), 1))
-            flags = [
-                1 if h in prev else 0
-                for h in new_rows.column("text_hash").to_pylist()
-            ]
+        def flag_block(block: pa.Table) -> pa.Table:
+            prev = overlap(block).column("text_hash").combine_chunks()
+            new_rows = block.filter(pc.equal(block.column("side"), 1))
+            flags = pc.is_in(new_rows.column("text_hash"), value_set=prev)
             return pa.table(
                 {
                     id_col: new_rows.column("id"),
-                    "in_previous": pa.array(flags, pa.int64()),
+                    "in_previous": pc.cast(flags, pa.int64()),
                 }
             )
 
-        return both.groupby("bucket").map_groups(
-            flag_group, batch_format="pyarrow"
-        )
+        return sorted_reduce(both, "text_hash", flag_block)
 
     seen: set[str] = set()
     for b in iter_capped_batches(
-        both.groupby("bucket").map_groups(overlap, batch_format="pyarrow"),
+        sorted_reduce(both, "text_hash", overlap),
         cap=cap,
         context="incremental dedup overlap",
     ):
@@ -458,25 +427,23 @@ def _doc_bands(text: str) -> list[int]:
 # stage. The collection is guarded twice: the row cap (EdgeCap) and a
 # HASH budget (signature rows carry whole shingle-hash sets, so bytes,
 # not rows, are the real bound); crossing either falls back to the
-# bucketed verify shuffle (the 100-TB path).
+# sorted verify shuffle (the 100-TB path).
 DRIVER_VERIFY_PAIRS = 100_000
 DRIVER_VERIFY_HASH_BUDGET = 20_000_000  # ~160 MB of raw hash payload
 
 
-def _verify_shuffle_join(
-    docs, cand_ds, text_col: str, id_col: str, threshold: float, n_buckets: int
-):
+def _verify_shuffle_join(docs, cand_ds, text_col: str, id_col: str, threshold: float):
     """Fully-distributed exact-Jaccard verification: candidate
     membership rows shuffle-join the corpus's shingle-hash sets on the
-    doc-id bucket, then pairs verify inside one ``groupby(pair
-    bucket)`` — no driver collection, no broadcast. Returns the
-    verified edge Dataset ``(id_a, id_b)``.
+    doc id, then pairs verify inside one sorted shuffle on ``(lo, hi)``
+    — no driver collection, no broadcast. Returns the verified edge
+    Dataset ``(id_a, id_b)``.
 
     Cost model (why this is the opt-in path): EVERY doc's hash set
     enters the first shuffle (a corpus-scale exchange, ~the distinct
     shingle mass), vs the default broadcast filter that ships hashes
-    for candidate docs only. Per-group memory is one bucket's share of
-    doc hash sets — size with ``n_buckets``."""
+    for candidate docs only. Per-reducer memory is one sorted block's
+    share of doc hash sets."""
 
     def member(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
@@ -487,7 +454,6 @@ def _verify_shuffle_join(
         n = len(key)
         return pa.table(
             {
-                "bucket": pa.array(np.mod(key, np.int64(n_buckets)), pa.int64()),
                 "key_doc": pa.array(key, pa.int64()),
                 "lo": pa.array(lo, pa.int64()),
                 "hi": pa.array(hi, pa.int64()),
@@ -503,11 +469,9 @@ def _verify_shuffle_join(
             for t in batch.column(text_col).to_pylist()
         ]
         n = len(ids)
-        ids_np = np.asarray(ids, dtype=np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.mod(ids_np, np.int64(n_buckets)), pa.int64()),
-                "key_doc": pa.array(ids_np, pa.int64()),
+                "key_doc": pa.array(np.asarray(ids, dtype=np.int64), pa.int64()),
                 "lo": pa.array(np.zeros(n, np.int64), pa.int64()),
                 "hi": pa.array(np.zeros(n, np.int64), pa.int64()),
                 "hashes": pa.array(hashes, pa.list_(pa.int64())),
@@ -515,44 +479,38 @@ def _verify_shuffle_join(
             }
         )
 
-    def join_hashes(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by(
+    def join_hashes(block: pa.Table) -> pa.Table:
+        block = block.sort_by(
             [("key_doc", "ascending"), ("is_doc", "descending")]
         )
-        out = {"pair_bucket": [], "lo": [], "hi": [], "doc": [], "hashes": []}
-        for run in iter_key_runs(group, "key_doc"):
-            is_doc = run.column("is_doc").to_numpy(zero_copy_only=False)
-            if is_doc[0] != 1:
+        is_doc = block.column("is_doc").to_numpy()
+        docs_ = block.column("key_doc").to_numpy()
+        los = block.column("lo").to_numpy()
+        his = block.column("hi").to_numpy()
+        hash_col = block.column("hashes")
+        out = {"lo": [], "hi": [], "doc": [], "hashes": []}
+        for s, e in zip(*run_bounds(block, "key_doc")):
+            if is_doc[s] != 1:
                 continue  # candidate references a doc absent from the corpus
-            hashes = run.column("hashes")[0].as_py()
-            doc = run.column("key_doc")[0].as_py()
-            los = run.column("lo").to_pylist()
-            his = run.column("hi").to_pylist()
-            # a pair found by several LSH bands (in different band
-            # buckets) reaches here once PER band — emit the doc's hash
-            # set once per distinct pair, not per emission, or the pair
-            # shuffle (this path's dominant cost) multiplies by the
-            # band-collision factor
+            hashes = hash_col[int(s)].as_py()
+            # a pair found by several LSH bands reaches here once PER
+            # band — emit the doc's hash set once per distinct pair, not
+            # per emission, or the pair shuffle (this path's dominant
+            # cost) multiplies by the band-collision factor
             seen: set[tuple[int, int]] = set()
-            for i in range(len(is_doc)):
+            for i in range(s, e):
                 if is_doc[i] == 1:
                     continue
-                lo, hi = los[i], his[i]
+                lo, hi = int(los[i]), int(his[i])
                 if (lo, hi) in seen:
                     continue
                 seen.add((lo, hi))
-                out["pair_bucket"].append(
-                    (lo * 1_000_003 + hi) % n_buckets
-                )
                 out["lo"].append(lo)
                 out["hi"].append(hi)
-                out["doc"].append(doc)
+                out["doc"].append(int(docs_[s]))
                 out["hashes"].append(hashes)
         return pa.table(
             {
-                "pair_bucket": pa.array(out["pair_bucket"], pa.int64()),
                 "lo": pa.array(out["lo"], pa.int64()),
                 "hi": pa.array(out["hi"], pa.int64()),
                 "doc": pa.array(out["doc"], pa.int64()),
@@ -560,29 +518,28 @@ def _verify_shuffle_join(
             }
         )
 
-    def verify_pairs(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by(
+    def verify_pairs(block: pa.Table) -> pa.Table:
+        block = block.sort_by(
             [("lo", "ascending"), ("hi", "ascending"), ("doc", "ascending")]
         )
+        los = block.column("lo").to_numpy()
+        his = block.column("hi").to_numpy()
+        docs_ = block.column("doc").to_pylist()
+        hashes = block.column("hashes").to_pylist()
         a_out: list[int] = []
         b_out: list[int] = []
-        for run in iter_key_runs(group, "lo"):
-            for sub in iter_key_runs(run, "hi"):
-                sides: dict[int, set[int]] = {}
-                for d, hs in zip(
-                    sub.column("doc").to_pylist(), sub.column("hashes").to_pylist()
-                ):
-                    sides.setdefault(d, set(hs))
-                if len(sides) != 2:
-                    continue  # a side was absent -> unverifiable
-                ha, hb = sides.values()
-                inter = len(ha & hb)
-                j = inter / (len(ha) + len(hb) - inter) if inter else 0.0
-                if j >= threshold:
-                    a_out.append(sub.column("lo")[0].as_py())
-                    b_out.append(sub.column("hi")[0].as_py())
+        for s, e in zip(*run_bounds(block, ["lo", "hi"])):
+            sides: dict[int, set[int]] = {}
+            for i in range(s, e):
+                sides.setdefault(docs_[i], set(hashes[i]))
+            if len(sides) != 2:
+                continue  # a side was absent -> unverifiable
+            ha, hb = sides.values()
+            inter = len(ha & hb)
+            j = inter / (len(ha) + len(hb) - inter) if inter else 0.0
+            if j >= threshold:
+                a_out.append(int(los[s]))
+                b_out.append(int(his[s]))
         return pa.table(
             {
                 "id_a": pa.array(a_out, pa.int64()),
@@ -590,15 +547,14 @@ def _verify_shuffle_join(
             }
         )
 
-    joined = (
-        cand_ds.map_batches(member, batch_format="pyarrow")
-        .union(docs.map_batches(doc_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join_hashes, batch_format="pyarrow")
+    joined = sorted_reduce(
+        cand_ds.map_batches(member, batch_format="pyarrow").union(
+            docs.map_batches(doc_rows, batch_format="pyarrow")
+        ),
+        "key_doc",
+        join_hashes,
     )
-    return joined.groupby("pair_bucket").map_groups(
-        verify_pairs, batch_format="pyarrow"
-    )
+    return sorted_reduce(joined, ["lo", "hi"], verify_pairs)
 
 
 def minhash_clusters(
@@ -620,10 +576,12 @@ def minhash_clusters(
     Physical plan (the 100-TB shape — the band shuffle carries IDS, not
     document payloads):
 
-    1. band expansion ships only ``(band_bucket, band_key, doc_id)`` —
-       24 bytes/row × 8 bands, independent of document size;
-    2. ``groupby(band_bucket)`` emits *candidate pairs* (ids only; the
-       per-band cap is reported to ``cap_counters`` when it truncates);
+    1. band expansion ships only ``(band_key, doc_id)`` — 16
+       bytes/row × 8 bands, independent of document size;
+    2. a sorted shuffle on ``band_key`` (one reducer call per sorted
+       block, walking its band runs) emits *candidate pairs* (ids only;
+       each truncated band is reported to ``cap_counters`` under its
+       own ``band_key``);
     3. candidate pairs are collected (capped — tiny: bounded by true
        duplicate mass + LSH false-positive mass) and broadcast;
     4. a second pass over the input computes shingle-hash sets ONLY for
@@ -631,7 +589,7 @@ def minhash_clusters(
        at the driver when the pair set is small
        (``driver_verify_pairs``: driver bytes stay bounded by the
        capped collection, and one all-to-all stage disappears), else
-       inside one ``groupby(pair_bucket)`` shuffle over candidate rows;
+       inside one sorted shuffle on the pair index over candidate rows;
     5. verified edges -> driver union-find -> broadcast assign (as
        before).
 
@@ -641,7 +599,7 @@ def minhash_clusters(
 
     ``cc`` selects the cluster merger: ``"driver"`` (default) is the
     capped driver-side union-find; ``"distributed"`` runs the verify
-    as the bucketed shuffle and merges with the alternating-star
+    as the sorted shuffle and merges with the alternating-star
     connected-components operator (``functions/graph.py``), removing
     the union-find AND (via the ``graph.assign_components`` shuffle
     join when the broadcast map crosses ``edge_cap``) the
@@ -653,7 +611,7 @@ def minhash_clusters(
 
     ``candidate_path="shuffle"`` (requires ``cc="distributed"``)
     removes THAT too: candidates stay a Dataset, every doc's
-    shingle-hash set ships through a bucketed shuffle join against the
+    shingle-hash set ships through a sorted shuffle join against the
     candidate membership rows, and verification runs per pair group —
     ZERO driver-side collections end-to-end (candidates -> verify ->
     connected components -> shuffle assign). The cost is a
@@ -676,7 +634,6 @@ def minhash_clusters(
     """
     if spill_dir is not None:
         docs = _spill_input(docs, spill_dir, [id_col, text_col])
-    n_buckets = 1024
 
     def expand(batch: pa.Table) -> pa.Table:
         out_band: list[int] = []
@@ -687,37 +644,33 @@ def minhash_clusters(
             for bd in _doc_bands(t or ""):
                 out_band.append(bd)
                 out_id.append(i)
-        buckets = [b % n_buckets for b in out_band]
         return pa.table(
             {
-                "band_bucket": pa.array(buckets, pa.int64()),
                 "band_key": pa.array(out_band, pa.int64()),
                 id_col: pa.array(out_id, pa.int64()),
             }
         )
 
-    def candidates(group: pa.Table) -> pa.Table:
-        # one bucket = many bands: sort by (band_key, id), walk runs
-        from ..runs import iter_key_runs
-
-        group = group.sort_by([("band_key", "ascending"), (id_col, "ascending")])
+    def candidates(block: pa.Table) -> pa.Table:
+        # one block = many whole bands: sort by (band_key, id), walk runs
+        block = block.sort_by([("band_key", "ascending"), (id_col, "ascending")])
+        bands = block.column("band_key").to_numpy()
+        all_ids = block.column(id_col).to_pylist()
         pair_set: set[tuple[int, int]] = set()
-        n_dropped = 0
-        for run in iter_key_runs(group, "band_key"):
-            ids = run.column(id_col).to_pylist()
+        for s, e in zip(*run_bounds(block, "band_key")):
+            ids = all_ids[s:e]
             if len(ids) > max_group:
-                n_dropped += len(ids) - max_group
+                if cap_counters is not None:
+                    cap_counters.record.remote(
+                        "minhash_truncated_candidates",
+                        int(bands[s]),
+                        len(ids) - max_group,
+                    )
                 ids = ids[:max_group]
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):
                     if ids[i] != ids[j]:
                         pair_set.add((ids[i], ids[j]))
-        if cap_counters is not None and n_dropped:
-            cap_counters.record.remote(
-                "minhash_truncated_candidates",
-                group.column("band_bucket")[0].as_py(),
-                n_dropped,
-            )
         ordered = sorted(pair_set)
         return pa.table(
             {
@@ -726,10 +679,8 @@ def minhash_clusters(
             }
         )
 
-    cand_ds = (
-        docs.map_batches(expand, batch_format="pyarrow")
-        .groupby("band_bucket")
-        .map_groups(candidates, batch_format="pyarrow")
+    cand_ds = sorted_reduce(
+        docs.map_batches(expand, batch_format="pyarrow"), "band_key", candidates
     )
 
     from ..state.collect import DEFAULT_EDGE_CAP, iter_capped_batches
@@ -751,9 +702,7 @@ def minhash_clusters(
         # are each consumed exactly once (component_pairs materializes
         # the canonicalized edges itself before iterating)
         comp_ds = component_pairs(
-            _verify_shuffle_join(
-                docs, cand_ds, text_col, id_col, threshold, n_buckets
-            ),
+            _verify_shuffle_join(docs, cand_ds, text_col, id_col, threshold),
             "id_a",
             "id_b",
         ).materialize()
@@ -848,7 +797,7 @@ def minhash_clusters(
             from ..state.worker_cache import cached_get
 
             pm, _ = cached_get(pair_ref, "minhash_pair_map")
-            out_bucket, out_pair, out_id, out_hashes = [], [], [], []
+            out_pair, out_id, out_hashes = [], [], []
             for i, t in zip(
                 batch.column(id_col).to_pylist(), batch.column(text_col).to_pylist()
             ):
@@ -857,41 +806,39 @@ def minhash_clusters(
                     continue
                 hs = _doc_shingle_hashes(t or "").astype(np.int64).tolist()
                 for pidx in hit:
-                    out_bucket.append(pidx % n_buckets)
                     out_pair.append(pidx)
                     out_id.append(i)
                     out_hashes.append(hs)
             return pa.table(
                 {
-                    "pair_bucket": pa.array(out_bucket, pa.int64()),
                     "pair_idx": pa.array(out_pair, pa.int64()),
                     id_col: pa.array(out_id, pa.int64()),
                     "hashes": pa.array(out_hashes, pa.list_(pa.int64())),
                 }
             )
 
-        def verify(group: pa.Table) -> pa.Table:
-            from ..runs import iter_key_runs
+        def verify(block: pa.Table) -> pa.Table:
             from ..state.worker_cache import cached_get
 
             _, pair_list = cached_get(pair_ref, "minhash_pair_map")
-            group = group.sort_by([("pair_idx", "ascending"), (id_col, "ascending")])
+            block = block.sort_by([("pair_idx", "ascending"), (id_col, "ascending")])
+            pidxs = block.column("pair_idx").to_numpy()
+            ids = block.column(id_col).to_pylist()
+            hashes = block.column("hashes").to_pylist()
             a_out, b_out = [], []
-            for run in iter_key_runs(group, "pair_idx"):
+            for s, e in zip(*run_bounds(block, "pair_idx")):
                 # one distinct hash set per side (duplicate doc_id rows
                 # in a pathological input collapse to one)
                 sides: dict[int, set[int]] = {}
-                for di, hs in zip(
-                    run.column(id_col).to_pylist(), run.column("hashes").to_pylist()
-                ):
-                    sides.setdefault(di, set(hs))
+                for i in range(s, e):
+                    sides.setdefault(ids[i], set(hashes[i]))
                 if len(sides) != 2:
                     continue  # a side was absent -> unverifiable
                 ha, hb = sides.values()
                 inter = len(ha & hb)
                 j = inter / (len(ha) + len(hb) - inter) if inter else 0.0
                 if j >= threshold:
-                    pidx = run.column("pair_idx")[0].as_py()
+                    pidx = int(pidxs[s])
                     a_out.append(pair_list[pidx][0])
                     b_out.append(pair_list[pidx][1])
             return pa.table(
@@ -901,10 +848,8 @@ def minhash_clusters(
                 }
             )
 
-        return (
-            docs.map_batches(sigs, batch_format="pyarrow")
-            .groupby("pair_bucket")
-            .map_groups(verify, batch_format="pyarrow")
+        return sorted_reduce(
+            docs.map_batches(sigs, batch_format="pyarrow"), "pair_idx", verify
         )
 
     def verify_distributed() -> None:
@@ -944,7 +889,7 @@ def minhash_clusters(
                     )
             except EdgeCapExceeded:
                 # component map itself beyond driver memory: assign via
-                # the bucketed shuffle join — the merge/assign half no
+                # the sorted shuffle join — the merge/assign half no
                 # longer holds driver state (the candidate-pair
                 # collection remains the one capped driver-side bound;
                 # see the cc= docstring paragraph)
@@ -1019,7 +964,6 @@ def simhash_pairs(
     max_hamming: int = 3,
     max_group: int = 512,
     cap_counters=None,
-    n_buckets: int = 1024,
 ):
     """Near-dup candidate pairs by simhash banding.
 
@@ -1027,7 +971,7 @@ def simhash_pairs(
     by pigeonhole, any pair within the hamming budget shares at least
     one unchanged chunk — grouped by chunk value, and verified with the
     exact hamming distance. Larger budgets mean narrower chunks (less
-    selective buckets); the per-group cap (``max_group``) bounds the
+    selective keys); the per-key cap (``max_group``) bounds the
     quadratic verify, and every truncation is reported to
     ``cap_counters`` (``state/caps.py``) so recall loss is observable.
 
@@ -1036,10 +980,10 @@ def simhash_pairs(
     ``max_hamming + 1`` chunks — a silently capped chunk count would
     lose exactly the pairs at the budget boundary.
 
-    Both shuffles ride COARSE buckets (``chunk_key % n_buckets``, then
-    a pair-hash bucket for the cross-chunk distinct) with run-scans
-    inside each group — never one ``map_groups`` dispatch per
-    near-singleton key (the repo shuffle rule).
+    Both shuffles are sorted reduces on the real key (``chunk_key``,
+    then ``(id_a, id_b)`` for the cross-chunk distinct) with run-scans
+    inside each sorted block — never one dispatch per near-singleton
+    key (the repo shuffle rule).
     """
     if max_hamming < 0:
         raise ValueError(f"simhash_pairs: max_hamming {max_hamming} < 0")
@@ -1073,38 +1017,28 @@ def simhash_pairs(
                 out_sig.append(s)
         return pa.table(
             {
-                "chunk_bucket": pa.array(
-                    [k % n_buckets for k in out_key], pa.int64()
-                ),
                 "chunk_key": pa.array(out_key, pa.int64()),
                 id_col: pa.array(out_id, pa.int64()),
                 "simhash": pa.array(out_sig, pa.int64()),
             }
         )
 
-    def verify(group: pa.Table) -> pa.Table:
-        # one bucket = many chunk keys: sort, walk runs (the coarse-
-        # bucket rule — dispatch amortizes over ~n/n_buckets rows)
-        from ..runs import iter_key_runs
-
-        group = group.sort_by(
+    def verify(block: pa.Table) -> pa.Table:
+        # one block = many whole chunk keys: sort, walk runs
+        block = block.sort_by(
             [("chunk_key", "ascending"), (id_col, "ascending")]
         )
+        keys = block.column("chunk_key").to_numpy()
+        ids = block.column(id_col).to_pylist()
+        sigs = block.column("simhash").to_pylist()
         a_out, b_out, d_out = [], [], []
-        for run in iter_key_runs(group, "chunk_key"):
-            rows = sorted(
-                set(
-                    zip(
-                        run.column(id_col).to_pylist(),
-                        run.column("simhash").to_pylist(),
-                    )
-                )
-            )
+        for s, e in zip(*run_bounds(block, "chunk_key")):
+            rows = sorted(set(zip(ids[s:e], sigs[s:e])))
             if len(rows) > max_group:  # deterministic cap on the verify
                 if cap_counters is not None:
                     cap_counters.record.remote(
                         "simhash_truncated_candidates",
-                        run.column("chunk_key")[0].as_py(),
+                        int(keys[s]),
                         len(rows) - max_group,
                     )
                 rows = rows[:max_group]
@@ -1121,64 +1055,40 @@ def simhash_pairs(
                         d_out.append(d)
         return pa.table(
             {
-                "pair_bucket": pa.array(
-                    [
-                        ((a * 0x9E3779B97F4A7C15) ^ b) % n_buckets
-                        for a, b in zip(a_out, b_out)
-                    ],
-                    pa.int64(),
-                ),
                 "id_a": pa.array(a_out, pa.int64()),
                 "id_b": pa.array(b_out, pa.int64()),
                 "hamming": pa.array(d_out, pa.int64()),
             }
         )
 
-    pairs = (
-        docs.map_batches(expand, batch_format="pyarrow")
-        .groupby("chunk_bucket")
-        .map_groups(verify, batch_format="pyarrow")
+    pairs = sorted_reduce(
+        docs.map_batches(expand, batch_format="pyarrow"), "chunk_key", verify
     )
 
-    # pairs found via multiple chunks appear multiple times — distinct
-    # on a coarse pair-hash bucket (duplicates of one pair always share
-    # it), never one dispatch per pair
-    def pair_distinct(group: pa.Table) -> pa.Table:
-        seen = sorted(
-            set(
-                zip(
-                    group.column("id_a").to_pylist(),
-                    group.column("id_b").to_pylist(),
-                    group.column("hamming").to_pylist(),
-                )
-            )
-        )
-        return pa.table(
-            {
-                "id_a": pa.array([r[0] for r in seen], pa.int64()),
-                "id_b": pa.array([r[1] for r in seen], pa.int64()),
-                "hamming": pa.array([r[2] for r in seen], pa.int64()),
-            }
+    # pairs found via multiple chunks appear multiple times — a distinct
+    # per sorted block on (id_a, id_b) (duplicates of one pair always
+    # share a block), never one dispatch per pair
+    def pair_distinct(block: pa.Table) -> pa.Table:
+        return (
+            block.group_by(["id_a", "id_b", "hamming"], use_threads=False)
+            .aggregate([])
+            .sort_by([("id_a", "ascending"), ("id_b", "ascending")])
+            .select(["id_a", "id_b", "hamming"])
         )
 
-    return (
-        pairs.groupby("pair_bucket")
-        .map_groups(pair_distinct, batch_format="pyarrow")
-    )
+    return sorted_reduce(pairs, ["id_a", "id_b"], pair_distinct)
 
 
 def _first_occurrence_winners(pos_col: str):
     """Shared keep-first winner kernel for the paragraph/span dedups:
-    groups arrive bucketed on ``h1 % n_buckets``; sort by (h1, h2, doc,
-    position), walk the (h1, h2) runs, and emit the FIRST row of every
-    multi-occurrence run — the winning occurrence of a duplicated
-    128-bit content key. One kernel, parameterized by the position
-    column name, so a fix lands in both dedups at once."""
+    each sorted block holds whole ``(h1, h2)`` runs; sort by (h1, h2,
+    doc, position) and keep the FIRST row of every run longer than one
+    row — the winning occurrence of a duplicated 128-bit content key.
+    One kernel, parameterized by the position column name, so a fix
+    lands in both dedups at once."""
 
-    def winners(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by(
+    def winners(block: pa.Table) -> pa.Table:
+        block = block.select(["h1", "h2", "doc", pos_col]).sort_by(
             [
                 ("h1", "ascending"),
                 ("h2", "ascending"),
@@ -1186,13 +1096,8 @@ def _first_occurrence_winners(pos_col: str):
                 (pos_col, "ascending"),
             ]
         )
-        cols: dict[str, list[int]] = {"h1": [], "h2": [], "doc": [], pos_col: []}
-        for run in iter_key_runs(group, "h1"):
-            for sub in iter_key_runs(run, "h2"):
-                if sub.num_rows > 1:
-                    for c in cols:
-                        cols[c].append(sub.column(c)[0].as_py())
-        return pa.table({c: pa.array(v, pa.int64()) for c, v in cols.items()})
+        starts, ends = run_bounds(block, ["h1", "h2"])
+        return block.take(starts[ends - starts > 1])
 
     return winners
 
@@ -1205,7 +1110,6 @@ def paragraph_dedup(
     id_col: str = "doc_id",
     *,
     edge_cap: int | None = None,
-    n_buckets: int = 1024,
     spill_dir: str | None = None,
 ):
     """Cross-corpus keep-first paragraph dedup (the boilerplate-removal
@@ -1224,13 +1128,13 @@ def paragraph_dedup(
 
     Physical plan (the 100-TB shape):
 
-    1. explode ships ``(bucket, h1, h2, doc_id, idx)`` — 40 bytes per
+    1. explode ships ``(h1, h2, doc_id, idx)`` — 32 bytes per
        paragraph, never the text; ``(h1, h2)`` are two independently
        keyed 64-bit hashes (128-bit identity: a false merge needs a
        simultaneous collision in both families);
-    2. ``groupby(bucket)`` finds, per hash pair with >1 occurrence, the
-       min ``(doc_id, idx)`` winner — only DUPLICATED paragraphs leave
-       the shuffle;
+    2. a sorted shuffle on ``(h1, h2)`` finds, per hash pair with >1
+       occurrence, the min ``(doc_id, idx)`` winner — only DUPLICATED
+       paragraphs leave the shuffle;
     3. the winner map is collected under ``edge_cap`` (bounded by
        distinct duplicated-paragraph count, i.e. boilerplate mass, not
        corpus size) and broadcast via ``ray.put``;
@@ -1266,9 +1170,6 @@ def paragraph_dedup(
         h2 = hash_str_array(paras, seed=2).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    np.mod(h1, np.int64(n_buckets)), pa.int64()
-                ),
                 "h1": pa.array(h1, pa.int64()),
                 "h2": pa.array(h2, pa.int64()),
                 "doc": pa.array(out_doc, pa.int64()),
@@ -1276,12 +1177,10 @@ def paragraph_dedup(
             }
         )
 
-    winners = _first_occurrence_winners("idx")
-
-    win_ds = (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(winners, batch_format="pyarrow")
+    win_ds = sorted_reduce(
+        docs.map_batches(explode, batch_format="pyarrow"),
+        ["h1", "h2"],
+        _first_occurrence_winners("idx"),
     )
     win_map: dict[tuple[int, int], tuple[int, int]] = {}
     for b in iter_capped_batches(win_ds, cap=cap, context="paragraph dedup winners"):
@@ -1341,7 +1240,6 @@ def span_dedup(
     *,
     min_len: int = 50,
     edge_cap: int | None = None,
-    n_buckets: int = 1024,
     spill_dir: str | None = None,
 ):
     """Cross-corpus exact-substring dedup at token granularity — the
@@ -1367,9 +1265,9 @@ def span_dedup(
     construction; run it before, not after, byte-exact stages).
 
     Physical plan (the 100-TB shape): the explode ships
-    ``(bucket, h1, h2, doc_id, pos)`` — 40 bytes per token occurrence,
-    never text — through ONE bucketed shuffle; only DUPLICATED windows
-    leave the groupby; the winner map is capped by duplicate mass and
+    ``(h1, h2, doc_id, pos)`` — 32 bytes per token occurrence, never
+    text — through ONE sorted shuffle on ``(h1, h2)``; only DUPLICATED
+    windows leave it; the winner map is capped by duplicate mass and
     broadcast; a second streaming pass rebuilds documents. Window
     hashing is O(tokens) per doc: each token is blake2b-hashed once
     (8 bytes per token enter the keys, independent of ``min_len``) and
@@ -1377,7 +1275,6 @@ def span_dedup(
     consumed twice — pass a source-backed Dataset or ``spill_dir``.
     """
     from ..hashing import hash_str_array
-    from ..runs import iter_key_runs
     from ..state.collect import DEFAULT_EDGE_CAP, iter_capped_batches
     from ..state.worker_cache import cached_get
     from .text_analysis import ws_tokens
@@ -1456,9 +1353,6 @@ def span_dedup(
         )
         return pa.table(
             {
-                "bucket": pa.array(
-                    np.mod(h1a, np.int64(n_buckets)), pa.int64()
-                ),
                 "h1": pa.array(h1a, pa.int64()),
                 "h2": pa.array(h2a, pa.int64()),
                 "doc": pa.array(out_doc, pa.int64()),
@@ -1466,12 +1360,10 @@ def span_dedup(
             }
         )
 
-    winners = _first_occurrence_winners("pos")
-
-    win_ds = (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(winners, batch_format="pyarrow")
+    win_ds = sorted_reduce(
+        docs.map_batches(explode, batch_format="pyarrow"),
+        ["h1", "h2"],
+        _first_occurrence_winners("pos"),
     )
     win_map: dict[tuple[int, int], tuple[int, int]] = {}
     for b in iter_capped_batches(win_ds, cap=cap, context="span dedup winners"):

@@ -8,7 +8,7 @@ mass than driver memory (the ``EdgeCapExceeded`` failure mode), THIS
 module is the remedy: the alternating large-star / small-star
 algorithm (Kiveris et al., "Connected Components in MapReduce and
 Beyond", SoCC 2014 — public literature) computes the same min-id
-components as a bounded number of bucketed shuffles over the edge
+components as a bounded number of sorted shuffles over the edge
 Dataset, never collecting the edge list anywhere.
 
 Semantics are bit-identical to ``UnionFind`` with min-key roots (the
@@ -24,8 +24,9 @@ Scale notes (the 100-TB shape):
   object store (edges are O(duplicate mass), orders of magnitude
   smaller than the corpus; materializing per round is what makes the
   iteration not re-execute its whole lineage each pass);
-- every round is two ``groupby(bucket)`` shuffles whose rows are three
-  int64s — no payloads, no driver state;
+- every round is two ``shuffle.sorted_reduce`` shuffles on the node id
+  whose rows are two int64s — no payloads, no driver state, one
+  vectorized reducer call per sorted block;
 - round count is O(log^2 n) worst case (paper bound); near-dup
   cluster graphs (small diameter) converge in 2-4 rounds;
 - ``max_iters`` fails loudly rather than spinning.
@@ -36,16 +37,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..shuffle import run_bounds, sorted_reduce
+
 _CHK_MASK = (1 << 64) - 1
 
 
-def _bucketize(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    # numpy mod follows Python sign semantics -> non-negative for a
-    # positive divisor even on negative ids
-    return np.mod(keys, np.int64(n_buckets))
+def _int64(table: pa.Table, col: str) -> np.ndarray:
+    return table.column(col).to_numpy().astype(np.int64, copy=False)
 
 
-def _canonicalize(edges, col_a: str, col_b: str, n_buckets: int):
+def _canonicalize(edges, col_a: str, col_b: str):
     """(a, b) -> canonical (hi, lo) rows, self-loops dropped (their
     nodes are retained via the separate node inventory)."""
 
@@ -99,76 +100,60 @@ def _edge_stats(edges) -> tuple[int, int]:
     return n_total, chk_total
 
 
-def _star(edges, large: bool, n_buckets: int):
-    """One star operation: bucketed shuffle on the key node, per-key
+def _star(edges, large: bool):
+    """One star operation: sorted shuffle on the key node, per-key
     min-neighbor emission. ``large=True`` hooks every larger neighbor
     to the key's min; ``large=False`` (small-star) hooks every smaller
     neighbor (and the key itself) to the minimum."""
 
     def emit(batch: pa.Table) -> pa.Table:
-        hi = batch.column("hi").to_numpy(zero_copy_only=False)
-        lo = batch.column("lo").to_numpy(zero_copy_only=False)
+        key, val = _int64(batch, "hi"), _int64(batch, "lo")
         if large:
             # both directions: each endpoint sees its full neighborhood
-            key = np.concatenate([hi, lo])
-            val = np.concatenate([lo, hi])
+            key, val = np.concatenate([key, val]), np.concatenate([val, key])
+        return pa.table(
+            {"key": pa.array(key, pa.int64()), "val": pa.array(val, pa.int64())}
+        )
+
+    def reduce_block(block: pa.Table) -> pa.Table:
+        block = block.sort_by([("key", "ascending"), ("val", "ascending")])
+        key, val = _int64(block, "key"), _int64(block, "val")
+        starts, ends = run_bounds(block, "key")
+        if not len(starts):
+            return pa.table({"hi": pa.array([], pa.int64()), "lo": pa.array([], pa.int64())})
+        run = np.repeat(np.arange(len(starts)), ends - starts)
+        u = key[starts]
+        m = np.minimum(np.minimum.reduceat(val, starts), u)  # per-run min
+        # each distinct (key, val) neighbor once
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = (key[1:] != key[:-1]) | (val[1:] != val[:-1])
+        if large:
+            # hook strictly-larger neighbors to m (v > u >= m)
+            sel = first & (val > key)
+            out_hi, out_lo = val[sel], m[run[sel]]
         else:
-            key, val = hi, lo
+            # hook all smaller neighbors and u itself to m
+            sel = first & (val != m[run])
+            own = u != m
+            out_hi = np.concatenate([val[sel], u[own]])
+            out_lo = np.concatenate([m[run[sel]], m[own]])
         return pa.table(
-            {
-                "bucket": pa.array(_bucketize(key, n_buckets), pa.int64()),
-                "key": pa.array(key, pa.int64()),
-                "val": pa.array(val, pa.int64()),
-            }
+            {"hi": pa.array(out_hi, pa.int64()), "lo": pa.array(out_lo, pa.int64())}
         )
 
-    def reduce_group(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by([("key", "ascending"), ("val", "ascending")])
-        out_hi: list[int] = []
-        out_lo: list[int] = []
-        for run in iter_key_runs(group, "key"):
-            u = run.column("key")[0].as_py()
-            vals = run.column("val").to_numpy(zero_copy_only=False)
-            m = int(min(vals.min(), u))
-            if large:
-                # hook strictly-larger neighbors to m (v > u >= m)
-                bigger = np.unique(vals[vals > u])
-                out_hi.extend(int(v) for v in bigger)
-                out_lo.extend([m] * len(bigger))
-            else:
-                # hook all smaller neighbors and u itself to m
-                members = np.unique(vals)  # all < u by construction
-                for v in members:
-                    if int(v) != m:
-                        out_hi.append(int(v))
-                        out_lo.append(m)
-                if u != m:
-                    out_hi.append(int(u))
-                    out_lo.append(m)
-        return pa.table(
-            {
-                "hi": pa.array(out_hi, pa.int64()),
-                "lo": pa.array(out_lo, pa.int64()),
-            }
-        )
-
-    return (
-        edges.map_batches(emit, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_group, batch_format="pyarrow")
+    return sorted_reduce(
+        edges.map_batches(emit, batch_format="pyarrow"), "key", reduce_block
     )
 
 
-def _iterate_stars(cur, n_buckets: int, max_iters: int):
+def _iterate_stars(cur, max_iters: int):
     """Alternate large/small stars on a materialized canonical edge
     Dataset until the edge set is stable; returns the fixpoint star
     edges ``(hi=node, lo=root)``."""
     prev_sig = None
     for _ in range(max_iters):
-        cur = _star(cur, large=True, n_buckets=n_buckets).materialize()
-        cur = _star(cur, large=False, n_buckets=n_buckets).materialize()
+        cur = _star(cur, large=True).materialize()
+        cur = _star(cur, large=False).materialize()
         sig = _edge_stats(cur)
         if sig == prev_sig:
             return cur
@@ -185,7 +170,6 @@ def component_pairs(
     col_a: str = "id_a",
     col_b: str = "id_b",
     *,
-    n_buckets: int = 1024,
     max_iters: int = 64,
 ):
     """Lean variant of :func:`connected_components` for lookup-style
@@ -201,11 +185,20 @@ def component_pairs(
         )
 
     cur = _iterate_stars(
-        _canonicalize(edges, col_a, col_b, n_buckets).materialize(),
-        n_buckets,
-        max_iters,
+        _canonicalize(edges, col_a, col_b).materialize(), max_iters
     )
     return cur.map_batches(rename, batch_format="pyarrow")
+
+
+def _tagged(node: np.ndarray, root: np.ndarray, tag: int) -> pa.Table:
+    """``(node, root, tag)`` rows for a sorted shuffle join on node."""
+    return pa.table(
+        {
+            "node": pa.array(node, pa.int64()),
+            "root": pa.array(root, pa.int64()),
+            "tag": pa.array(np.full(len(node), tag, np.int8), pa.int8()),
+        }
+    )
 
 
 def connected_components(
@@ -213,7 +206,6 @@ def connected_components(
     col_a: str = "id_a",
     col_b: str = "id_b",
     *,
-    n_buckets: int = 1024,
     max_iters: int = 64,
 ):
     """Edge Dataset ``(col_a, col_b)`` (int64 node ids, undirected,
@@ -224,147 +216,101 @@ def connected_components(
     converged after ``max_iters`` rounds (the paper's bound is
     O(log^2 n); hitting this indicates a bug, not a big graph).
     """
-    # node inventory (for singleton completeness) — one bucketed
-    # distinct over both endpoint columns
+    # node inventory (for singleton completeness) — one sorted distinct
+    # over both endpoint columns
     def emit_nodes(batch: pa.Table) -> pa.Table:
-        a = batch.column(col_a).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column(col_b).to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes = np.unique(np.concatenate([a, b]))
-        return pa.table(
-            {
-                "bucket": pa.array(_bucketize(nodes, n_buckets), pa.int64()),
-                "node": pa.array(nodes, pa.int64()),
-            }
+        nodes = np.unique(
+            np.concatenate([_int64(batch, col_a), _int64(batch, col_b)])
         )
-
-    def distinct_nodes(group: pa.Table) -> pa.Table:
-        nodes = np.unique(group.column("node").to_numpy(zero_copy_only=False))
         return pa.table({"node": pa.array(nodes, pa.int64())})
 
-    nodes = (
-        edges.map_batches(emit_nodes, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(distinct_nodes, batch_format="pyarrow")
+    def distinct_nodes(block: pa.Table) -> pa.Table:
+        return pa.table({"node": pa.array(np.unique(_int64(block, "node")), pa.int64())})
+
+    nodes = sorted_reduce(
+        edges.map_batches(emit_nodes, batch_format="pyarrow"), "node", distinct_nodes
     ).materialize()
 
     cur = _iterate_stars(
-        _canonicalize(edges, col_a, col_b, n_buckets).materialize(),
-        n_buckets,
-        max_iters,
+        _canonicalize(edges, col_a, col_b).materialize(), max_iters
     )
 
-    # final assembly: every node joined (bucketed) against the star
-    # edges; nodes with no incoming (v, root) row are roots/singletons
+    # final assembly: every node joined (sorted on node) against the
+    # star edges; nodes with no incoming (v, root) row are
+    # roots/singletons
     def tag_nodes(batch: pa.Table) -> pa.Table:
-        n = batch.column("node").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(_bucketize(n, n_buckets), pa.int64()),
-                "node": pa.array(n, pa.int64()),
-                "root": pa.array(np.full(len(n), -1), pa.int64()),
-                "is_edge": pa.array(np.zeros(len(n), np.int8), pa.int8()),
-            }
-        )
+        n = _int64(batch, "node")
+        return _tagged(n, np.full(len(n), -1), 0)
 
     def tag_edges(batch: pa.Table) -> pa.Table:
-        hi = batch.column("hi").to_numpy(zero_copy_only=False)
-        lo = batch.column("lo").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(_bucketize(hi, n_buckets), pa.int64()),
-                "node": pa.array(hi, pa.int64()),
-                "root": pa.array(lo, pa.int64()),
-                "is_edge": pa.array(np.ones(len(hi), np.int8), pa.int8()),
-            }
-        )
+        return _tagged(_int64(batch, "hi"), _int64(batch, "lo"), 1)
 
-    def resolve(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by([("node", "ascending"), ("root", "ascending")])
-        out_node: list[int] = []
-        out_root: list[int] = []
-        for run in iter_key_runs(group, "node"):
-            node = run.column("node")[0].as_py()
-            roots = run.column("root").to_numpy(zero_copy_only=False)
-            is_edge = run.column("is_edge").to_numpy(zero_copy_only=False)
-            real = roots[is_edge == 1]
-            # a node the inventory saw but no star edge points at is
-            # its own root; otherwise the (unique at convergence) min
-            out_node.append(node)
-            out_root.append(int(real.min()) if len(real) else node)
+    def resolve(block: pa.Table) -> pa.Table:
+        block = block.sort_by("node")
+        node, root = _int64(block, "node"), _int64(block, "root")
+        is_edge = block.column("tag").to_numpy() == 1
+        starts, _ = run_bounds(block, "node")
+        # a node the inventory saw but no star edge points at is its
+        # own root; otherwise the (unique at convergence) min. A real
+        # root is below its node, so the int64 max sentinel never wins
+        big = np.iinfo(np.int64).max
+        eff = np.where(is_edge, root, big)
+        run_min = np.minimum.reduceat(eff, starts) if len(starts) else eff[:0]
+        out_node = node[starts]
         return pa.table(
             {
                 "node": pa.array(out_node, pa.int64()),
-                "root": pa.array(out_root, pa.int64()),
+                "root": pa.array(np.where(run_min == big, out_node, run_min), pa.int64()),
             }
         )
 
-    return (
-        nodes.map_batches(tag_nodes, batch_format="pyarrow")
-        .union(cur.map_batches(tag_edges, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pyarrow")
+    return sorted_reduce(
+        nodes.map_batches(tag_nodes, batch_format="pyarrow").union(
+            cur.map_batches(tag_edges, batch_format="pyarrow")
+        ),
+        "node",
+        resolve,
     )
 
 
-def assign_components(ids_ds, comp_ds, id_col: str = "doc_id", *, n_buckets: int = 1024):
-    """Bucketed shuffle-join assignment: each row of ``ids_ds`` gets
-    ``cluster_id`` = its component root (itself when unclustered),
-    WITHOUT collecting the component map to the driver — the full-scale
-    sibling of the broadcast ``Assign`` in ``dedup_docs``.
+def assign_components(ids_ds, comp_ds, id_col: str = "doc_id"):
+    """Shuffle-join assignment (sorted on the node id): each row of
+    ``ids_ds`` gets ``cluster_id`` = its component root (itself when
+    unclustered), WITHOUT collecting the component map to the driver —
+    the full-scale sibling of the broadcast ``Assign`` in ``dedup_docs``.
 
     ``comp_ds`` is ``connected_components`` output ``(node, root)``.
     """
 
     def tag_ids(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(_bucketize(ids, n_buckets), pa.int64()),
-                "node": pa.array(ids, pa.int64()),
-                "root": pa.array(np.full(len(ids), -1), pa.int64()),
-                "is_comp": pa.array(np.zeros(len(ids), np.int8), pa.int8()),
-            }
-        )
+        ids = _int64(batch, id_col)
+        return _tagged(ids, np.full(len(ids), -1), 0)
 
     def tag_comp(batch: pa.Table) -> pa.Table:
-        n = batch.column("node").to_numpy(zero_copy_only=False)
-        r = batch.column("root").to_numpy(zero_copy_only=False)
+        return _tagged(_int64(batch, "node"), _int64(batch, "root"), 1)
+
+    def join(block: pa.Table) -> pa.Table:
+        block = block.sort_by(
+            [("node", "ascending"), ("tag", "descending"), ("root", "ascending")]
+        )
+        node, root = _int64(block, "node"), _int64(block, "root")
+        is_comp = block.column("tag").to_numpy() == 1
+        starts, ends = run_bounds(block, "node")
+        # a run's first row is its component row when it has one
+        run_root = np.where(is_comp[starts], root[starts], node[starts])
+        run = np.repeat(np.arange(len(starts)), ends - starts)
+        id_rows = ~is_comp
         return pa.table(
             {
-                "bucket": pa.array(_bucketize(n, n_buckets), pa.int64()),
-                "node": pa.array(n, pa.int64()),
-                "root": pa.array(r, pa.int64()),
-                "is_comp": pa.array(np.ones(len(n), np.int8), pa.int8()),
+                id_col: pa.array(node[id_rows], pa.int64()),
+                "cluster_id": pa.array(run_root[run[id_rows]], pa.int64()),
             }
         )
 
-    def join(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by([("node", "ascending"), ("is_comp", "descending")])
-        out_id: list[int] = []
-        out_cluster: list[int] = []
-        for run in iter_key_runs(group, "node"):
-            node = run.column("node")[0].as_py()
-            is_comp = run.column("is_comp").to_numpy(zero_copy_only=False)
-            roots = run.column("root").to_numpy(zero_copy_only=False)
-            comp_roots = roots[is_comp == 1]
-            root = int(comp_roots[0]) if len(comp_roots) else node
-            n_id_rows = int((is_comp == 0).sum())
-            out_id.extend([node] * n_id_rows)
-            out_cluster.extend([root] * n_id_rows)
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                "cluster_id": pa.array(out_cluster, pa.int64()),
-            }
-        )
-
-    return (
-        ids_ds.map_batches(tag_ids, batch_format="pyarrow")
-        .union(comp_ds.map_batches(tag_comp, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join, batch_format="pyarrow")
+    return sorted_reduce(
+        ids_ds.map_batches(tag_ids, batch_format="pyarrow").union(
+            comp_ds.map_batches(tag_comp, batch_format="pyarrow")
+        ),
+        "node",
+        join,
     )

@@ -21,14 +21,14 @@ Physical plans (the 100-TB shapes):
 - ``inverted_index``: block-local Arrow ``group_by(term, doc)``
   combiner dedups within-document repetitions BEFORE anything moves
   (the big reduction: a term occurring 100× in a doc ships once), then
-  ONE shuffle on a coarse term-hash bucket (1024 groups, the repo's
-  near-singleton-group pattern) with an in-group run walk building
-  (term, df, postings). Postings rows are bounded by ``max_postings``
-  (stopword-shaped terms), with the truncation reported to the
+  ONE sorted shuffle on the term (``shuffle.sorted_reduce``) whose
+  reducer builds (term, df, postings) for every term run of a sorted
+  block with numpy. Postings rows are bounded by ``max_postings``
+  (stopword-shaped terms), with each truncated term reported to the
   ``state/caps.py`` counter actor — never silent.
 - ``doc_top_terms``: document-frequency table via the same deduped
-  pair combiner + one small ``group_by(term)`` per block and a
-  1024-bucket reduce; the (term -> df) map is ``ray.put`` ONCE and
+  pair combiner + one small ``group_by(term)`` per block and a sorted
+  reduce on the term; the (term -> df) map is ``ray.put`` ONCE and
   read through ``worker_cache.cached_get`` in every scoring task
   (broadcast, not re-shipped per batch); per-document tf + top-k runs
   fully inside ``map_batches`` with numpy lexsort — each doc's text
@@ -47,6 +47,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..hashing import stable_hash64
+from ..shuffle import run_bounds, sorted_reduce
 
 _N_BUCKETS = 1024
 _WS_SPLIT_RE = r"\s+"  # split twin of text_analysis.TOKEN_RE (\S+)
@@ -123,48 +124,43 @@ def inverted_index(
     the ``state/caps.py`` contract: no silent caps).
     """
 
-    def expand(batch: pa.Table) -> pa.Table:
-        pairs = _term_doc_pairs(batch, text_col, id_col)
-        return pairs.append_column("bucket", _term_buckets(pairs.column("term")))
-
-    def merge(group: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
-        group = group.sort_by(
-            [("term", "ascending"), ("doc_id", "ascending")]
-        )
-        terms: list[str] = []
-        dfs: list[int] = []
-        postings: list[list[int]] = []
-        n_dropped = 0
-        for run in iter_key_runs(group, "term"):
-            ids = pc.unique(run.column("doc_id")).to_pylist()
-            if len(ids) < min_df:
-                continue
-            terms.append(run.column("term")[0].as_py())
-            dfs.append(len(ids))
-            if max_postings is not None and len(ids) > max_postings:
-                n_dropped += len(ids) - max_postings
-                ids = ids[:max_postings]
-            postings.append(ids)
-        if cap_counters is not None and n_dropped:
-            cap_counters.record.remote(
-                "inverted_index_truncated_postings",
-                group.column("bucket")[0].as_py(),
-                n_dropped,
-            )
+    def merge(block: pa.Table) -> pa.Table:
+        block = block.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+        # distinct (term, doc) pairs: a doc id repeated across input
+        # blocks counts once
+        block = block.take(run_bounds(block, ["term", "doc_id"])[0])
+        starts, ends = run_bounds(block, "term")
+        df = ends - starts
+        keep = df >= min_df
+        starts, df = starts[keep], df[keep]
+        n_post = df if max_postings is None else np.minimum(df, max_postings)
+        if cap_counters is not None:
+            for s, n in zip(starts[df > n_post], (df - n_post)[df > n_post]):
+                cap_counters.record.remote(
+                    "inverted_index_truncated_postings",
+                    stable_hash64(block.column("term")[int(s)].as_py()),
+                    int(n),
+                )
+        # row index of every kept posting: each run's first n_post rows
+        offsets = np.concatenate([[0], np.cumsum(n_post)]).astype(np.int32)
+        rows = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - starts, n_post)
+        doc_ids = block.column("doc_id").take(pa.array(rows, pa.int64()))
         return pa.table(
             {
-                "term": pa.array(terms, pa.string()),
-                "df": pa.array(dfs, pa.int64()),
-                "postings": pa.array(postings, pa.list_(pa.int64())),
+                "term": block.column("term").take(pa.array(starts, pa.int64())),
+                "df": pa.array(df, pa.int64()),
+                "postings": pa.ListArray.from_arrays(
+                    pa.array(offsets, pa.int32()), doc_ids.combine_chunks()
+                ),
             }
         )
 
-    return (
-        docs.map_batches(expand, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
+    return sorted_reduce(
+        docs.map_batches(
+            lambda b: _term_doc_pairs(b, text_col, id_col), batch_format="pyarrow"
+        ),
+        "term",
+        merge,
     )
 
 
@@ -213,8 +209,8 @@ def build_term_index(
         max_postings=max_postings,
         cap_counters=cap_counters,
     )
-    # re-derive the partition key from the term (vocab-sized work): the
-    # merge output intentionally drops the shuffle bucket column
+    # derive the on-disk partition key from the term (vocab-sized
+    # work): the merge shuffle sorts on the term itself
     idx.map_batches(
         lambda b: b.append_column("bucket", _term_buckets(b.column("term"))),
         batch_format="pyarrow",
@@ -419,12 +415,11 @@ def term_df(
             {
                 "term": agg.column("term"),
                 "pdf": agg.column("doc_id_count"),
-                "bucket": _term_buckets(agg.column("term")),
             }
         )
 
-    def reduce_bucket(group: pa.Table) -> pa.Table:
-        agg = group.group_by("term").aggregate([("pdf", "sum")])
+    def reduce_block(block: pa.Table) -> pa.Table:
+        agg = block.group_by("term").aggregate([("pdf", "sum")])
         tbl = pa.table(
             {
                 "term": agg.column("term"),
@@ -435,10 +430,8 @@ def term_df(
             tbl = tbl.filter(pc.greater_equal(tbl.column("df"), min_df))
         return tbl
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pyarrow")
+    return sorted_reduce(
+        docs.map_batches(partial, batch_format="pyarrow"), "term", reduce_block
     )
 
 

@@ -43,6 +43,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..hashing import stable_hash64
+from ..shuffle import run_bounds, sorted_reduce
 
 DEFAULT_K = 8192
 
@@ -63,18 +64,17 @@ def kmv_distinct(ds, group_col: str, value_col: str, k: int = DEFAULT_K):
     """
 
     def local(batch: pa.Table) -> pa.Table:
-        from ..runs import iter_key_runs
-
         g_type = batch.column(group_col).type
+        batch = batch.select([group_col, value_col]).sort_by(group_col)
+        groups = batch.column(group_col)
+        values = batch.column(value_col).to_pylist()
         out_g, out_h = [], []
         # sort + run-walk: ONE pass regardless of group count (a filter
         # per distinct value is O(groups x rows) — the near-singleton
         # regime the repo shuffle rule warns about)
-        for run in iter_key_runs(
-            batch.select([group_col, value_col]).sort_by(group_col), group_col
-        ):
-            out_g.append(run.column(group_col)[0].as_py())
-            out_h.append(_min_hashes(run.column(value_col).to_pylist(), k))
+        for s, e in zip(*run_bounds(batch, group_col)):
+            out_g.append(groups[int(s)].as_py())
+            out_h.append(_min_hashes(values[s:e], k))
         # key column typed from the INPUT (an empty block would
         # otherwise infer null type and break block schema unification)
         return pa.table(
@@ -84,27 +84,31 @@ def kmv_distinct(ds, group_col: str, value_col: str, k: int = DEFAULT_K):
             }
         )
 
-    def merge(group: pa.Table) -> pa.Table:
-        merged = np.unique(
-            np.concatenate(
-                [np.asarray(h, dtype=np.uint64) for h in group.column("kmv").to_pylist()]
-            )
-        )[:k]
-        if len(merged) < k:
-            n = len(merged)  # sketch holds the whole set: exact
-        else:
-            n = int(round((k - 1) * float(1 << 64) / float(merged[-1])))
+    def merge(block: pa.Table) -> pa.Table:
+        block = block.sort_by(group_col)
+        sketches = block.column("kmv").to_pylist()
+        starts, ends = run_bounds(block, group_col)
+        out_n = []
+        for s, e in zip(starts, ends):
+            merged = np.unique(
+                np.concatenate(
+                    [np.asarray(h, dtype=np.uint64) for h in sketches[s:e]]
+                )
+            )[:k]
+            if len(merged) < k:
+                n = len(merged)  # sketch holds the whole set: exact
+            else:
+                n = int(round((k - 1) * float(1 << 64) / float(merged[-1])))
+            out_n.append(n)
         return pa.table(
             {
-                group_col: group.column(group_col).slice(0, 1),
-                "n_distinct": pa.array([n], pa.int64()),
+                group_col: block.column(group_col).take(pa.array(starts, pa.int64())),
+                "n_distinct": pa.array(out_n, pa.int64()),
             }
         )
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(merge, batch_format="pyarrow")
+    return sorted_reduce(
+        ds.map_batches(local, batch_format="pyarrow"), group_col, merge
     )
 
 
@@ -232,7 +236,7 @@ def heavy_hitters(
     candidates = set(merged)
 
     # pass 2: exact counts of the candidates only (broadcast filter ->
-    # partial counts -> one tiny groupby)
+    # partial counts -> one tiny sorted reduce)
     def count_candidates(batch: pa.Table) -> pa.Table:
         vals = batch.column(col).to_pylist()
         acc: dict = {}
@@ -247,21 +251,13 @@ def heavy_hitters(
             }
         )
 
-    def finish(group: pa.Table) -> pa.Table:
-        total = sum(group.column("n").to_pylist())
-        if total < min_count:
-            return group.slice(0, 0)
-        return pa.table(
-            {
-                col: group.column(col).slice(0, 1),
-                "n": pa.array([total], pa.int64()),
-            }
-        )
+    def finish(block: pa.Table) -> pa.Table:
+        agg = block.group_by(col, use_threads=False).aggregate([("n", "sum")])
+        out = pa.table({col: agg.column(col), "n": agg.column("n_sum")})
+        return out.filter(pc.greater_equal(out.column("n"), min_count))
 
-    return (
-        ds.map_batches(count_candidates, batch_format="pyarrow")
-        .groupby(col)
-        .map_groups(finish, batch_format="pyarrow")
+    return sorted_reduce(
+        ds.map_batches(count_candidates, batch_format="pyarrow"), col, finish
     )
 
 

@@ -4,9 +4,10 @@ The reference keeps duplicate triples (one per sentence occurrence);
 the north rule requires a deduplicated graph. Pattern: vectorized key
 derivation -> **local pre-aggregation inside map_batches** (the
 combiner: collapses duplicates within each block before any network
-move) -> one global ``groupby(triple_key).map_groups`` shuffle over the
-already-reduced rows. Provenance is deterministic: ``n_sources`` sums
-occurrence counts; the kept (url, chunk_id) is the lexicographic min.
+move) -> one ``shuffle.sorted_reduce`` on ``triple_key`` over the
+already-reduced rows, which re-runs the same combiner once per sorted
+block. Provenance is deterministic: ``n_sources`` sums occurrence
+counts; the kept (url, chunk_id) is the lexicographic min.
 
 The combiner is pure Arrow/numpy (VERDICT r1 item 6): the triple key is
 ``mix64(subj_id) ^ mix64(pred_hash) ^ mix64(obj_id)`` with distinct
@@ -23,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import mix64, stable_hash64
+from ..shuffle import sorted_reduce
 
 # triple_key derivation seeds (any change re-keys the shuffle only; the
 # key is dropped from the output, so values never reach an oracle)
@@ -103,34 +105,14 @@ def _local_combine(batch: pa.Table) -> pa.Table:
     return gb.select(_OUT_COLS)
 
 
-def _merge_bucket(group: pa.Table) -> pa.Table:
-    """Reducer for one key BUCKET: the combiner is associative and
-    commutative (min-representative + count sum), so re-running it over
-    all of a bucket's block-partials yields one exact row per key."""
-    return _local_combine(group.drop_columns(["key_bucket"]))
-
-
-def dedup_triples(linked, n_buckets: int = 1024):
+def dedup_triples(linked):
     """linked triples Dataset -> deduplicated graph rows Dataset.
 
     The subj/obj columns of the output carry the canonical surfaces.
-    The reduce shuffle is keyed on the low bits of ``triple_key``
-    (``n_buckets`` rounded UP to a power of two so the bitmask is a
-    true uniform modulo): per-group dispatch overhead then scales with
-    the bucket count, not the (much larger) distinct-triple count, and
-    each group merge is one vectorized combiner pass.
+    The combiner is associative and commutative (min-representative +
+    count sum), so re-running it over each sorted block — which holds
+    whole ``triple_key`` runs — yields one exact row per key.
     """
-    n_buckets = 1 << max(0, (n_buckets - 1)).bit_length()
-    mask = pa.scalar(n_buckets - 1, pa.int64())
-
-    def combine_and_bucket(batch: pa.Table) -> pa.Table:
-        c = _local_combine(batch)
-        return c.append_column(
-            "key_bucket", pc.bit_wise_and(c.column("triple_key"), mask)
-        )
-
-    combined = linked.map_batches(combine_and_bucket, batch_format="pyarrow")
-    out = combined.groupby("key_bucket").map_groups(
-        _merge_bucket, batch_format="pyarrow"
-    )
+    combined = linked.map_batches(_local_combine, batch_format="pyarrow")
+    out = sorted_reduce(combined, "triple_key", _local_combine)
     return out.drop_columns(["triple_key"])

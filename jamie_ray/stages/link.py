@@ -4,10 +4,12 @@ Mention surfaces -> canonical entity ids, in four moves:
 
 1. **surface normalization** — width-fold + casefold (pure kernel);
 2. **minhash-LSH blocking** — character-shingle minhash signatures,
-   banded; ``groupby(band_key)`` is shuffle #1 of the physical plan
-   (SURVEY.md §4). Hot bands are salted by truncation: a band group is
-   processed at most ``max_group`` surfaces (sorted, deterministic) —
-   beyond that the band is too unselective to be evidence anyway;
+   banded; a ``shuffle.sorted_reduce`` on ``band_key`` is shuffle #1 of
+   the physical plan (SURVEY.md §4), and one kernel call per sorted
+   block walks that block's band runs. Hot bands are salted by
+   truncation: a band group is processed at most ``max_group``
+   surfaces (sorted, deterministic) — beyond that the band is too
+   unselective to be evidence anyway;
 3. **pair verification** — exact shingle-set Jaccard >= ``threshold``
    inside each band group; surviving edges are few by construction and
    are collected to the driver;
@@ -39,6 +41,7 @@ import pyarrow as pa
 import ray
 
 from ..hashing import mix64_multi, stable_hash64, stable_hash64_signed
+from ..shuffle import run_bounds, sorted_reduce
 from ..state.union_find import UnionFind
 from ..textnorm import zen_to_han
 
@@ -122,9 +125,6 @@ def expand_bands_batch(batch: pa.Table) -> pa.Table:
     return pa.table(
         {
             "band_key": pa.array(out_band, pa.int64()),
-            "band_bucket": pa.array(
-                [b % N_BAND_BUCKETS for b in out_band], pa.int64()
-            ),
             "surface": pa.array(out_surface, pa.string()),
             "norm": pa.array(out_norm, pa.string()),
         }
@@ -137,7 +137,7 @@ def candidate_edges_group(
     max_group: int = DEFAULT_MAX_GROUP,
     cap_counters=None,
 ) -> pa.Table:
-    """map_groups kernel over one band -> verified edges."""
+    """Candidate kernel over one band run -> verified edges."""
     norms = sorted(set(zip(group.column("norm").to_pylist(),
                            group.column("surface").to_pylist())))
     if len(norms) > max_group:
@@ -162,37 +162,30 @@ def candidate_edges_group(
     )
 
 
-N_BAND_BUCKETS = 256
+_EMPTY_EDGES = pa.table(
+    {"surface_a": pa.array([], pa.string()), "surface_b": pa.array([], pa.string())}
+)
 
 
-def candidate_edges_bucket(
-    group: pa.Table,
+def candidate_edges_block(
+    block: pa.Table,
     threshold: float = DEFAULT_THRESHOLD,
     max_group: int = DEFAULT_MAX_GROUP,
     cap_counters=None,
 ) -> pa.Table:
-    """map_groups kernel over one band BUCKET (band_key mod
-    :data:`N_BAND_BUCKETS`): sorts by band_key and runs
-    :func:`candidate_edges_group` per run — identical edges, with
-    per-group dispatch paid once per bucket instead of once per
-    (mostly singleton) band."""
-    from ..runs import iter_key_runs
-
-    group = group.sort_by([("band_key", "ascending")])
+    """Reducer over one sorted block of whole band runs: runs
+    :func:`candidate_edges_group` once per ``band_key`` run."""
+    block = block.sort_by([("band_key", "ascending")])
     parts = [
         candidate_edges_group(
-            run, threshold=threshold, max_group=max_group, cap_counters=cap_counters
+            block.slice(s, e - s),
+            threshold=threshold,
+            max_group=max_group,
+            cap_counters=cap_counters,
         )
-        for run in iter_key_runs(group, "band_key")
+        for s, e in zip(*run_bounds(block, "band_key"))
     ]
-    if not parts:
-        return pa.table(
-            {
-                "surface_a": pa.array([], pa.string()),
-                "surface_b": pa.array([], pa.string()),
-            }
-        )
-    return pa.concat_tables(parts)
+    return pa.concat_tables(parts) if parts else _EMPTY_EDGES
 
 
 def build_canonical_map(
@@ -303,9 +296,9 @@ def link_triples(
 ):
     """Full linking stage: triples Dataset -> linked triples Dataset.
 
-    Physical plan: surface projection -> distinct (groupby shuffle kept
-    small by the projection) -> band expansion -> groupby(band) candidate
-    gen -> driver union-find -> broadcast rewrite.
+    Physical plan: surface projection -> block-local distinct -> band
+    expansion -> sorted reduce on band_key (candidate gen, one kernel
+    call per sorted block) -> driver union-find -> broadcast rewrite.
 
     ``alias_table`` (north-rule "alias-table resolution"): a curated
     ``{alias_surface: canonical_surface}`` map — e.g. known entity
@@ -342,16 +335,17 @@ def link_triples(
     # copy is made
     # candidate generation: block-local distinct (combiner — the global
     # per-occurrence distinct shuffle is gone), band expansion, then ONE
-    # shuffle on the band bucket; cross-block duplicate surfaces are
+    # sorted reduce on band_key; cross-block duplicate surfaces are
     # re-deduplicated inside each band run
     bands = triples.map_batches(
         distinct_surfaces_batch, batch_format="pyarrow"
     ).map_batches(expand_bands_batch, batch_format="pyarrow")
-    edges_ds = bands.groupby("band_bucket").map_groups(
-        lambda g: candidate_edges_bucket(
-            g, threshold=threshold, cap_counters=cap_counters
+    edges_ds = sorted_reduce(
+        bands,
+        "band_key",
+        lambda b: candidate_edges_block(
+            b, threshold=threshold, cap_counters=cap_counters
         ),
-        batch_format="pyarrow",
     )
     # only cluster members reach the driver: singleton surfaces resolve
     # locally inside rewrite_ids_task via entity_id(), so the collected

@@ -1,18 +1,22 @@
 """Observable truncation counters for capped blocking kernels.
 
-The banded/bucketed candidate generators (minhash near-dup, simhash,
-embedding near-dup, entity-link bands) bound their quadratic verifies
-with a deterministic per-group cap. The cap is a *recall* dial — at
-scale, bucket occupancy beyond the cap means silently dropped candidate
-pairs. Per the no-silent-caps rule, kernels report every truncation to
-a zero-cpu side actor so a recall-losing run is visible in lineage /
-run summaries instead of invisible.
+The banded candidate generators (minhash near-dup, simhash, embedding
+near-dup, entity-link bands) and the inverted index bound their
+quadratic verifies / postings with a deterministic per-key cap. The
+cap is a *recall* dial — at scale, a band (or term) holding more rows
+than the cap means silently dropped candidate pairs. Per the
+no-silent-caps rule, kernels report every truncation to a zero-cpu side
+actor so a recall-losing run is visible in lineage / run summaries
+instead of invisible.
 
-Reports are **fire-and-forget** actor calls keyed by (counter, group
-key): a retried task re-sends the same key and overwrites rather than
-double-counts, so totals stay exact under Ray's task retry semantics.
-Because the sends are async, :func:`cap_totals` settles — it polls the
-actor until the record count is stable across two reads. The totals are
+Reports are **fire-and-forget** actor calls keyed by (counter, key of
+the truncated run — its band key, chunk key, LSH bucket or term hash,
+never the id of a shuffle block that happens to hold it): a retried
+task re-sends the same key and overwrites rather than double-counts,
+so totals stay exact under Ray's task retry semantics and independent
+of block layout. Because the sends are async, :func:`cap_totals`
+settles — it polls the actor until the record count is stable across
+two reads. The totals are
 therefore **best-effort observability, not accounting**: a stable poll
 cannot prove delivery of every send (a message can still be in flight
 from a task that just finished, and a worker that dies *after* its task

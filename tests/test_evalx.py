@@ -224,3 +224,91 @@ def test_evaluate_mod_task_isolates_tasks(ray_session):
     assert evalx.evaluate_mod_task(gold, pred, "cert")["micro"][2] < 1.0
     assert evalx.evaluate_mod_task(gold, pred, "ttype")["micro"] == (1.0, 1.0, 1.0)
     assert evalx.evaluate_mod_task(gold, pred, "state")["micro"] == (1.0, 1.0, 1.0)
+
+
+# ---- vectorized block counts vs the per-sentence reference matcher -------
+
+from collections import defaultdict  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pyarrow as pa  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_CLS = st.sampled_from(["r1", "r2", "N", "O", "_", "OO", None])
+_FIELD = st.sampled_from(["a", "b", None])
+_ROW = st.tuples(
+    st.sampled_from(["u1", "u2", None]),  # url
+    st.integers(0, 1),  # chunk_id
+    _FIELD,
+    _FIELD,
+    _CLS,
+    st.integers(0, 1),  # side
+)
+
+
+def _partials_vs_reference(rows, rel_col):
+    tuple_cols = ["cls", "x", "y"] if rel_col == 0 else ["x", "y", "cls"]
+    table = pa.table(
+        {
+            "url": pa.array([r[0] for r in rows], pa.string()),
+            "chunk_id": pa.array([r[1] for r in rows], pa.int64()),
+            "x": pa.array([r[2] for r in rows], pa.string()),
+            "y": pa.array([r[3] for r in rows], pa.string()),
+            "cls": pa.array([r[4] for r in rows], pa.string()),
+            "__side": pa.array([r[5] for r in rows], pa.int8()),
+        }
+    )
+    keys = ["url", "chunk_id", *tuple_cols]
+    got_tbl = evalx._block_partials(table, keys, tuple_cols[rel_col])
+    got = {
+        c: (t, f, n)
+        for c, t, f, n in zip(*(got_tbl.column(k).to_pylist() for k in got_tbl.column_names))
+    }
+
+    sentences: dict = defaultdict(lambda: ([], []))
+    for url, chunk, x, y, cls, side in rows:
+        vals = {"x": x, "y": y, "cls": cls}
+        sentences[(url, chunk)][side].append(tuple(vals[c] for c in tuple_cols))
+    want: dict = defaultdict(lambda: [0, 0, 0])
+    for gold, pred in sentences.values():
+        for cls, c in evalx.match_tuples(gold, pred, rel_col).items():
+            for i in range(3):
+                want[cls][i] += c[i]
+    return got, {c: tuple(v) for c, v in want.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROW, max_size=60), rel_col=st.sampled_from([-1, 0]))
+def test_block_partials_match_reference_matcher(rows, rel_col):
+    """One block of whole sentences: the Arrow count rule
+    (tps = min(gold_n, pred_n) per distinct tuple) equals
+    ``match_tuples`` summed over the sentences — duplicate tuples on
+    both sides, skip classes, None fields and rel_col=0 included."""
+    got, want = _partials_vs_reference(rows, rel_col)
+    assert got == want
+
+
+@pytest.mark.parametrize("rel_col", [-1, 0])
+def test_block_partials_large_block_with_null_keys(rel_col):
+    """Hundreds of distinct tuples with null fields in one block:
+    pyarrow's multi-key ``group_by`` mis-groups null string keys once
+    its hash table grows, which small blocks never show."""
+    rng = np.random.default_rng(rel_col + 5)
+    pick = lambda vals: vals[int(rng.integers(0, len(vals)))]  # noqa: E731
+    urls = [f"u{i}" for i in range(6)] + [None]
+    fields = [f"f{i}" for i in range(5)] + [None]
+    classes = ["r1", "r2", "N", "O", "_", "OO", None]
+    rows = [
+        (pick(urls), int(rng.integers(0, 3)), pick(fields), pick(fields),
+         pick(classes), int(rng.integers(0, 2)))
+        for _ in range(1500)
+    ]
+    got, want = _partials_vs_reference(rows, rel_col)
+    assert got == want
+
+
+def test_f1_mode_rejects_unknown_values():
+    with pytest.raises(ValueError, match="f1_mode"):
+        evalx.evaluate_datasets(None, None, ["subj", "obj", "pred"], f1_mode="mirco")
+    with pytest.raises(ValueError, match="f1_mode"):
+        evalx.evaluate_triples(None, None, f1_mode="MICRO")

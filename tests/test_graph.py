@@ -40,7 +40,7 @@ def test_cc_matches_union_find_random_graphs(ray_session):
             (int(a), int(b))
             for a, b in rng.integers(0, n_nodes, size=(120, 2))
         ]
-        assert _cc_components(pairs, ray_session, n_buckets=16) == _uf_components(
+        assert _cc_components(pairs, ray_session) == _uf_components(
             pairs
         )
 
@@ -48,19 +48,19 @@ def test_cc_matches_union_find_random_graphs(ray_session):
 def test_cc_path_graph_worst_case(ray_session):
     # a single path 0-1-2-...-40: maximal diameter, root must be 0
     pairs = [(i, i + 1) for i in range(40)]
-    got = _cc_components(pairs, ray_session, n_buckets=8)
+    got = _cc_components(pairs, ray_session)
     assert got == {i: 0 for i in range(41)}
 
 
 def test_cc_self_loops_and_duplicates(ray_session):
     pairs = [(5, 5), (1, 2), (2, 1), (1, 2), (9, 9)]
-    got = _cc_components(pairs, ray_session, n_buckets=4)
+    got = _cc_components(pairs, ray_session)
     assert got == {1: 1, 2: 1, 5: 5, 9: 9}
 
 
 def test_cc_negative_and_large_ids(ray_session):
     pairs = [(-3, 7), (7, 2**40), (100, 100)]
-    got = _cc_components(pairs, ray_session, n_buckets=4)
+    got = _cc_components(pairs, ray_session)
     assert got == {-3: -3, 7: -3, 2**40: -3, 100: 100}
 
 
@@ -86,15 +86,14 @@ def test_assign_components_shuffle_join(ray_session):
                     "id_b": pa.array([p[1] for p in pairs], pa.int64()),
                 }
             )
-        ),
-        n_buckets=4,
+        )
     )
     ids = ray.data.from_arrow(
         pa.table({"doc_id": pa.array([1, 2, 3, 10, 11, 99], pa.int64())})
     )
     got = {
         r["doc_id"]: r["cluster_id"]
-        for r in assign_components(ids, comp, n_buckets=4).take_all()
+        for r in assign_components(ids, comp).take_all()
     }
     # 99 never appeared in an edge -> its own cluster
     assert got == {1: 1, 2: 1, 3: 1, 10: 10, 11: 10, 99: 99}
@@ -115,7 +114,7 @@ def test_component_pairs_lean_contract(ray_session):
     )
     from jamie_ray.functions.graph import component_pairs
 
-    rows = component_pairs(ray.data.from_arrow(tbl), n_buckets=4).take_all()
+    rows = component_pairs(ray.data.from_arrow(tbl)).take_all()
     got = {}
     for r in rows:
         prev = got.setdefault(r["node"], r["root"])
@@ -131,7 +130,7 @@ def test_cc_empty_edges(ray_session):
             {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
         )
     )
-    assert connected_components(empty, n_buckets=4).take_all() == []
+    assert connected_components(empty).take_all() == []
 
 
 def test_cc_matches_union_find_moderate_graph(ray_session):
@@ -141,6 +140,6 @@ def test_cc_matches_union_find_moderate_graph(ray_session):
     pairs = [
         (int(a), int(b)) for a, b in rng.integers(0, 1500, size=(3000, 2))
     ]
-    assert _cc_components(pairs, ray_session, n_buckets=64) == _uf_components(
+    assert _cc_components(pairs, ray_session) == _uf_components(
         pairs
     )

@@ -406,9 +406,7 @@ def test_paragraph_dedup_matches_bruteforce_random():
             docs.append({"doc_id": d, "text": "\n".join(paras)})
         got = {
             r["doc_id"]: (r["clean_text"], r["n_paras"], r["n_dropped"])
-            for r in paragraph_dedup(
-                ray.data.from_items(docs), n_buckets=8
-            ).take_all()
+            for r in paragraph_dedup(ray.data.from_items(docs)).take_all()
         }
         seen: set[str] = set()
         for d in docs:
