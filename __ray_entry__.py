@@ -1053,9 +1053,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Both-sides-large distributed LEFT equi-join (the engine's
         general `hash_join`, `functions/join.py`): every (customer,
         order) pair plus a null-order row per orderless customer —
-        exercising the bucketed shuffle join AND outer-null semantics
-        against the SQL oracle. No broadcast: both sides shuffle by
-        key hash into bucket groups joined by Arrow's hash join."""
+        exercising the sorted shuffle join AND outer-null semantics
+        against the SQL oracle. No broadcast: both sides sort on the
+        key and each sorted block joins with Arrow's hash join."""
         from jamie_ray.functions.join import hash_join
 
         cust = ray.data.read_parquet(
@@ -1065,10 +1065,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         orders = ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderkey"]
         )
-        return hash_join(
-            cust, orders, "c_custkey", right_on="o_custkey", how="left",
-            num_buckets=64,
-        )
+        return hash_join(cust, orders, "c_custkey", right_on="o_custkey", how="left")
 
     # REGISTRATION INVARIANT (r3 verdict item 1): the graft driver
     # checks only the FIRST 50 queries() entries, so this dict must

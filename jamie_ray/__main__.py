@@ -767,7 +767,6 @@ def cmd_join(args) -> None:
         args.on.split(","),
         right_on=args.right_on.split(",") if args.right_on else None,
         how=args.how,
-        num_buckets=args.num_buckets,
         suffix=args.suffix,
         bloom_prune=args.bloom_prune,
         path=args.path,
@@ -1597,7 +1596,6 @@ def main(argv: list[str] | None = None) -> None:
         "--how", default="inner",
         choices=("inner", "left", "right", "full", "semi", "anti"),
     )
-    p.add_argument("--num-buckets", dest="num_buckets", type=int, default=64)
     p.add_argument("--suffix", default="_r", help="suffix for colliding right columns")
     p.add_argument(
         "--bloom-prune", dest="bloom_prune", default=None,
@@ -1606,8 +1604,8 @@ def main(argv: list[str] | None = None) -> None:
     )
     p.add_argument(
         "--path", default="bucketed",
-        choices=("bucketed", "broadcast", "native"),
-        help="bucketed shuffle (default), small-right broadcast, or Ray native",
+        choices=("bucketed", "broadcast"),
+        help="sorted shuffle on the key (default) or small-right broadcast",
     )
     p.add_argument(
         "--left-cols", dest="left_cols", default=None,

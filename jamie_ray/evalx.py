@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .shuffle import sorted_reduce
+from .shuffle import null_codes, sorted_reduce
 
 _SKIP_CLASSES = ("N", "O", "_", "OO")  # clinical_eval.py:70,79
 
@@ -67,18 +67,11 @@ _PARTIAL_SCHEMA = pa.schema(
 )
 
 
-def _codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
-    """Null-safe group key: dictionary indices with null as its own
-    entry. pyarrow's multi-key ``group_by`` splits rows whose string key
-    is null into several groups, so nulls never reach the grouper."""
-    return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
-
-
 def _block_partials(block: pa.Table, keys: list[str], cls_col: str) -> pa.Table:
     """Per-class (tps, fps, fns) of one sorted block, which holds whole
     ``(url, chunk_id)`` sentences: every distinct tuple of a sentence
     matches ``min(gold_n, pred_n)`` times (:func:`match_tuples`)."""
-    codes = {k: _codes(block.column(k)) for k in keys}
+    codes = {k: null_codes(block.column(k)) for k in keys}
     side = block.column("__side")
     work = pa.table(
         {

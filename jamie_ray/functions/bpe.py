@@ -7,10 +7,10 @@ sibling).
 Physical plan — the honest 100-TB shape of BPE training:
 
 1. **distributed word count** (the only corpus-scale work): per-block
-   ``Counter`` over the ``\\s+`` tokens — so the one
-   ``groupby(bucket)`` shuffle carries ``(bucket, word, n)`` partials
-   bounded by block-distinct words, not token occurrences — then an
-   Arrow ``group_by(word).sum`` merge per bucket;
+   ``Counter`` over the ``\\s+`` tokens — so the one sorted shuffle
+   on the word (``shuffle.sorted_reduce``) carries ``(word, n)``
+   partials bounded by block-distinct words, not token occurrences —
+   then one Arrow ``group_by(word).sum`` merge per sorted block;
 2. the merged **vocabulary** (distinct words + frequencies) is
    collected under a loud cap: BPE's merge loop is a function of the
    word-frequency table, which scales with vocabulary (Heaps' law),
@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..hashing import hash_str_array
+from ..shuffle import sorted_reduce
 from .text_analysis import ws_tokens
 
 
@@ -41,15 +40,14 @@ def word_counts(
     docs,
     text_col: str = "text",
     *,
-    n_buckets: int = 1024,
     min_freq: int = 1,
 ):
     """documents -> Dataset ``(word, n)``, one row per distinct word.
 
     ``min_freq > 1`` prunes word types with total count below it
-    INSIDE the bucket merge groups — distributed-side, before anything
-    reaches the driver (the ``lm.py`` summary-row trick). The pruned
-    mass is not silent: each bucket that dropped types emits one
+    INSIDE the merge of each sorted block — distributed-side, before
+    anything reaches the driver (the ``lm.py`` summary-row trick). The
+    pruned mass is not silent: each block that dropped types emits one
     summary row with ``word = null`` and ``n = pruned occurrence
     mass``, so callers can account for exactly how many occurrences
     the threshold removed.
@@ -60,17 +58,15 @@ def word_counts(
         for t in batch.column(text_col).to_pylist():
             c.update(ws_tokens(t))
         words = sorted(c)
-        h = hash_str_array(words, seed=5).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.mod(h, np.int64(n_buckets)), pa.int64()),
                 "word": pa.array(words, pa.string()),
                 "n": pa.array([c[w] for w in words], pa.int64()),
             }
         )
 
-    def merge(group: pa.Table) -> pa.Table:
-        gb = group.group_by(["word"]).aggregate([("n", "sum")])
+    def merge(block: pa.Table) -> pa.Table:
+        gb = block.group_by(["word"]).aggregate([("n", "sum")])
         # aggregates selected BY NAME (<col>_<agg>), never positionally
         t = pa.table({"word": gb.column("word"), "n": gb.column("n_sum")})
         if min_freq > 1:
@@ -93,11 +89,7 @@ def word_counts(
                 )
         return t
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return sorted_reduce(docs.map_batches(partial, batch_format="pyarrow"), "word", merge)
 
 
 def _pair_stats(vocab: dict[tuple[str, ...], int]) -> Counter:
@@ -137,7 +129,6 @@ def train_bpe(
     *,
     vocab_cap: int | None = None,
     word_min_freq: int | None = None,
-    n_buckets: int = 1024,
 ) -> pa.Table:
     """Train ``n_merges`` BPE merges over the corpus; returns an Arrow
     table ``(rank, lhs, rhs, freq)`` — ``rank`` is merge order,
@@ -149,8 +140,8 @@ def train_bpe(
     ``EdgeCapExceeded`` loudly rather than OOMing the driver.
 
     ``word_min_freq`` is the 100-TB path: word types with total corpus
-    count below it are pruned DISTRIBUTED-side, inside the bucket
-    merge groups, so the driver only ever holds the frequent types
+    count below it are pruned DISTRIBUTED-side, inside the merge of
+    each sorted block, so the driver only ever holds the frequent types
     (Heaps'-law tail stays on the cluster; standard subword-trainer
     vocabulary thresholding, cf. SentencePiece/subword-nmt). Merges
     are then computed over the surviving types only — an approximation
@@ -164,14 +155,12 @@ def train_bpe(
     vocab: dict[tuple[str, ...], int] = {}
     pruned_mass = 0
     for b in iter_capped_batches(
-        word_counts(
-            docs, text_col, min_freq=word_min_freq or 1, n_buckets=n_buckets
-        ),
+        word_counts(docs, text_col, min_freq=word_min_freq or 1),
         cap=cap,
         context="bpe vocabulary",
     ):
         for w, n in zip(b.column("word").to_pylist(), b.column("n").to_pylist()):
-            if w is None:  # per-bucket pruned-mass summary row
+            if w is None:  # per-block pruned-mass summary row
                 pruned_mass += n
                 continue
             vocab[tuple(w)] = vocab.get(tuple(w), 0) + n

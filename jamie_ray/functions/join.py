@@ -7,37 +7,36 @@ per-document dict joins — SURVEY §2.4); this is a brief-driven engine
 primitive: at 100 TB the fact⋈fact shape (orders ⋈ customer, new-crawl
 ⋈ previous-crawl) can't broadcast either side.
 
-Shape (the coarse-bucket rule from the repo's shuffle playbook):
+Shape (the repo's one whole-key shuffle, ``shuffle.sorted_reduce``):
 
-1. tag each side with ``__side`` and ``__jbucket = hash(key) %
-   num_buckets`` (vectorized: ``mix64`` on int keys, blake2b on
-   strings);
+1. tag each side with ``__side`` and ``__salt`` (0 unless the key is
+   hot, see below), casting the right side's keys to the left's types;
 2. pad both sides to a common schema with null columns (the
    ``temporal.py`` union idiom) and union;
-3. ONE ``groupby("__jbucket").map_groups``: inside each bucket the
-   group splits back into left/right sub-tables and joins with
+3. ONE sorted shuffle on ``(key columns, __salt)``: every sorted block
+   holds whole ``(key, salt)`` units, splits back into left/right
+   sub-tables and joins them on ``(key, __salt)`` with
    ``pyarrow.Table.join`` (Acero hash join — vectorized, SQL null
    semantics: null keys never match, outer rows survive with nulls).
 
-Every row moves exactly once; per-group dispatch cost is amortized
-over ~n/num_buckets rows; there are ZERO driver-side collections at
-any data size. Output is a deterministic row multiset (block/row
-order is not promised — same contract as every shuffle op here).
+Every row moves exactly once, the reducer runs once per sorted block,
+and there are ZERO driver-side collections at any data size. Output is
+a deterministic row multiset (block/row order is not promised — same
+contract as every shuffle op here).
 
-Skew: all rows of one hot key land in one bucket. For *known* hot
-keys, ``hot_keys={key: n_salts}`` splits that key's LEFT rows across
-``n_salts`` private sub-buckets and REPLICATES its right rows into
-each — the result multiset is bit-identical to the unsalted path for
-``inner``/``left``/``semi``/``anti`` (asserted in tests) and rejected
-for ``right``/``full`` (replicated right rows would duplicate outer
-output). Unknown-skew detection is the caller's job (e.g. a
-``heavy_hitters`` pass — ``functions/sketch.py``).
+Skew: all rows of one hot key land in one block. For *known* hot keys,
+``hot_keys={key: n_salts}`` spreads that key's LEFT rows over salts
+``0..n_salts-1`` and REPLICATES its right rows into each salt, so every
+``(key, salt)`` unit joins on its own — the result multiset is
+bit-identical to the unsalted join for ``inner``/``left``/``semi``/
+``anti`` (asserted in tests) and rejected for ``right``/``full``
+(replicated right rows would duplicate outer output).
+``auto_salt=True`` finds the hot keys with a ``heavy_hitters`` pass
+(``functions/sketch.py``).
 
-``path="native"`` instead delegates to Ray Data's built-in
-hash-shuffle ``Dataset.join`` (same key/how surface, its aggregator
-actors own the memory knobs) — semantics asserted equal in tests;
-the bucketed path stays the default because it composes with
-``hot_keys`` and keeps the engine's no-hidden-actor-pool property.
+``path="broadcast"`` is the zero-shuffle small-right variant: the
+right side is collected under the edge cap and joined against every
+left batch.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import hash_str_array, mix64
+from ..shuffle import sorted_reduce
 
 _HOW_TO_ARROW = {
     "inner": "inner",
@@ -56,16 +56,11 @@ _HOW_TO_ARROW = {
     "semi": "left semi",
     "anti": "left anti",
 }
-_HOW_TO_NATIVE = {
-    "inner": "inner",
-    "left": "left_outer",
-    "right": "right_outer",
-    "full": "full_outer",
-    "semi": "left_semi",
-    "anti": "left_anti",
-}
 # semi/anti emit left columns only
 _LEFT_ONLY = {"semi", "anti"}
+# auto_salt's default hot fraction: a left key holding at least this
+# share of the rows is salted, into units of half that share each
+_HOT_FRACTION = 2 / 64
 # bloom_prune drops a side's rows whose key misses the OTHER side's
 # bloom — only legal when that side's unmatched rows never reach the
 # output (no false negatives, so no matching row is ever dropped;
@@ -79,18 +74,19 @@ _BLOOM_VALID = {
 def _key_hash(
     batch: pa.Table, cols: list[str], target_types: list | None = None
 ) -> np.ndarray:
-    """Vectorized combined 64-bit hash of the key columns.
+    """Vectorized combined 64-bit hash of the key columns (the bloom
+    filter's key; :func:`hash_join` admits int, string, temporal and
+    bool keys only).
 
     ``target_types`` (the LEFT side's key types) normalizes each
-    column BEFORE hashing so both sides of a join bucket identically
-    even when their key types differ (int32 vs int64, timestamp[ms]
-    vs timestamp[us]) — the join itself compares the cast values, so
-    the hash must too.
+    column BEFORE hashing so both sides hash identically even when
+    their key types differ (int32 vs int64, timestamp[ms] vs
+    timestamp[us]) — the join itself compares the cast values, so the
+    hash must too.
 
-    Nulls hash via a fixed sentinel — they only need a consistent
-    BUCKET (Arrow's join already refuses to match them); a sentinel
-    collision with a real value costs one shared bucket, not
-    correctness.
+    Nulls hash via a fixed sentinel — Arrow's join never matches them,
+    so a sentinel collision with a real value costs one bloom false
+    positive, not correctness.
     """
     acc = np.zeros(batch.num_rows, dtype=np.uint64)
     for i, c in enumerate(cols):
@@ -107,13 +103,8 @@ def _key_hash(
         if pa.types.is_integer(col.type):
             filled = pc.fill_null(pc.cast(col, pa.int64()), -(1 << 63))
             h = filled.to_numpy(zero_copy_only=False).astype(np.uint64)
-        elif pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            h = hash_str_array(pc.fill_null(col, "\x00null").to_pylist())
         else:
-            raise TypeError(
-                f"hash_join: unsupported key column type {col.type} for "
-                f"{c!r} (int and string keys only — cast first)"
-            )
+            h = hash_str_array(pc.fill_null(col, "\x00null").to_pylist())
         acc = mix64(acc ^ h, seed=i + 1)
     return acc
 
@@ -202,7 +193,6 @@ def hash_join(
     *,
     right_on=None,
     how: str = "inner",
-    num_buckets: int = 64,
     suffix: str = "_r",
     hot_keys: dict | None = None,
     auto_salt: bool | float = False,
@@ -223,8 +213,8 @@ def hash_join(
     ``auto_salt=True`` detects hot LEFT keys instead of requiring them
     a priori: a Misra-Gries heavy-hitter pass (``sketch.
     heavy_hitters`` — exact counts, provable recall) finds keys above
-    ``2/num_buckets`` of the rows (pass a float to set the fraction)
-    and salts each proportionally to its bucket overload; explicit
+    ``2/64`` of the rows (pass a float to set the fraction) and splits
+    each into salt units of ``1/64`` of the rows; explicit
     ``hot_keys`` entries win on conflict. Costs two extra streaming
     passes over the left keys — spill a derived left first. Single-
     column keys only; same inner/left/semi/anti restriction as
@@ -263,6 +253,8 @@ def hash_join(
         raise ValueError(
             "hash_join: hot_keys/auto_salt only applies to path='bucketed'"
         )
+    if path not in ("bucketed", "broadcast"):
+        raise ValueError("hash_join: path must be 'bucketed' or 'broadcast'")
     if auto_salt and len([on] if isinstance(on, str) else on) != 1:
         raise ValueError("hash_join: auto_salt supports single-column keys only")
     if bloom_prune is not None:
@@ -292,6 +284,16 @@ def hash_join(
     for c in right_on:
         if c not in r_names:
             raise KeyError(f"hash_join: right has no column {c!r}")
+    for c in on:
+        t = l_schema.field(c).type
+        if not (
+            pa.types.is_integer(t) or pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_temporal(t) or pa.types.is_boolean(t)
+        ):
+            raise TypeError(
+                f"hash_join: unsupported key column type {t} for "
+                f"{c!r} (int and string keys only — cast first)"
+            )
 
     l_payload = [c for c in l_names if c not in on]
     # right payload renamed: suffix on collisions with ANY left column
@@ -304,9 +306,9 @@ def hash_join(
     if clash:
         raise ValueError(f"hash_join: column collision after suffix: {sorted(clash)}")
 
-    # every hash (bucket, bloom) normalizes key columns to the LEFT
-    # side's types first — both sides must bucket identically even
-    # when their declared key types differ
+    # the bloom hash normalizes key columns to the LEFT side's types
+    # first — both sides must hash identically even when their
+    # declared key types differ
     key_types = [l_schema.field(c).type for c in on]
 
     if bloom_prune is not None:
@@ -345,27 +347,17 @@ def hash_join(
 
     # right side normalized to the output contract: key columns take
     # the LEFT names and types, payload takes the suffix renames
-    l_key_types_n = {c: l_schema.field(c).type for c in on}
+    l_key_types = {c: l_schema.field(c).type for c in on}
 
     def _normalize_right_batch(b: pa.Table) -> pa.Table:
         cols = {}
         for c in b.column_names:
             if c in right_on:
                 name = on[right_on.index(c)]
-                cols[name] = pc.cast(b.column(c), l_key_types_n[name])
+                cols[name] = pc.cast(b.column(c), l_key_types[name])
             else:
                 cols[r_rename[c]] = b.column(c)
         return pa.table(cols).select(on + r_payload)
-
-    if path == "native":
-        import ray.data  # noqa: F401  (Dataset method call below)
-
-        return left.join(
-            right.map_batches(_normalize_right_batch, batch_format="pyarrow"),
-            join_type=_HOW_TO_NATIVE[how],
-            num_partitions=num_buckets,
-            on=tuple(on),
-        )
 
     if path == "broadcast":
         # small-right path: zero shuffle — the whole right side is
@@ -400,7 +392,7 @@ def hash_join(
             if parts
             else pa.table(
                 {
-                    c: pa.array([], l_key_types_n[c] if c in on else r_types_b[c])
+                    c: pa.array([], l_key_types[c] if c in on else r_types_b[c])
                     for c in on + r_payload
                 }
             )
@@ -417,142 +409,87 @@ def hash_join(
 
         return left.map_batches(bcast_join, batch_format="pyarrow")
 
-    if path != "bucketed":
-        raise ValueError(
-            "hash_join: path must be 'bucketed', 'broadcast' or 'native'"
-        )
-
     if auto_salt:
         import math
 
         from .sketch import heavy_hitters
 
-        phi = (2.0 / num_buckets) if auto_salt is True else float(auto_salt)
-        keys_ds = left.select_columns([on[0]])
+        phi = _HOT_FRACTION if auto_salt is True else float(auto_salt)
+        # null keys never match, so they need no salt
+        keys_ds = left.select_columns([on[0]]).map_batches(
+            lambda b: b.filter(pc.is_valid(b.column(0))), batch_format="pyarrow"
+        )
         n_left = keys_ds.count()
         detected: dict = {}
         if n_left:
             # MG recall bound needs k > 1/phi (sketch.py raises at
             # equality) — size the sketch from the requested fraction,
-            # not just the bucket count, so small user phis work
-            k_mg = max(1024, num_buckets + 2, math.ceil(1.0 / phi) + 1)
+            # so small user phis work
+            k_mg = max(1024, math.ceil(1.0 / phi) + 1)
             hh = heavy_hitters(keys_ds, on[0], phi=phi, k=k_mg)
-            target = max(1.0, n_left / num_buckets)
+            unit = max(1.0, n_left * _HOT_FRACTION / 2)
             for row in hh.take_all():
-                v = row[on[0]]
-                if v is None:
-                    continue  # null keys never match — no salt needed
-                n_salts = math.ceil(row["n"] / target)
+                n_salts = math.ceil(row["n"] / unit)
                 if n_salts > 1:
-                    detected[v] = min(int(n_salts), num_buckets)
+                    detected[row[on[0]]] = n_salts
         hot_keys = {**detected, **(hot_keys or {})}  # explicit wins
 
-    # hot-key salt plan: each hot key gets a private contiguous range
-    # of bucket ids above num_buckets
+    # hot-key salt plan: key tuple -> number of salts
     salt_plan: dict = {}
-    if hot_keys:
-        start = num_buckets
-        for k, n in sorted(hot_keys.items(), key=lambda kv: str(kv[0])):
-            if n < 1:
-                raise ValueError("hash_join: hot_keys salt count must be >= 1")
-            key_t = k if isinstance(k, tuple) else (k,)
-            if len(key_t) != len(on):
-                raise ValueError(
-                    f"hash_join: hot key {k!r} arity != {len(on)} key columns"
-                )
-            salt_plan[key_t] = (start, int(n))
-            start += int(n)
+    for k, n in (hot_keys or {}).items():
+        if n < 1:
+            raise ValueError("hash_join: hot_keys salt count must be >= 1")
+        key_t = k if isinstance(k, tuple) else (k,)
+        if len(key_t) != len(on):
+            raise ValueError(
+                f"hash_join: hot key {k!r} arity != {len(on)} key columns"
+            )
+        salt_plan[key_t] = int(n)
 
-    def _hot_mask(batch: pa.Table, cols: list[str]):
-        """Boolean ndarray marking rows whose key is a hot key."""
-        mask = np.zeros(batch.num_rows, dtype=bool)
-        if not salt_plan:
-            return mask
-        key_rows = list(zip(*(batch.column(c).to_pylist() for c in cols)))
-        for i, kt in enumerate(key_rows):
-            if kt in salt_plan:
-                mask[i] = True
-        return mask
-
-    # the union needs ONE key type per column: the right side's keys
-    # cast to the left's types (int32 custkey joins int64 custkey)
-    l_key_types = l_key_types_n
-
-    def tag(side: int, key_cols: list[str], out_key: list[str], payload: dict):
-        """map_batches fn: select/rename to the union schema + __side
-        + __jbucket (hot keys salted per the plan)."""
+    def tag(side: int, key_cols: list[str], payload: dict):
+        """map_batches fn: select/rename to the union schema + __side +
+        __salt. A hot left row takes salt ``row index % n_salts`` (which
+        salt never changes the result); a hot right row is replicated
+        into every salt of its key."""
 
         def fn(batch: pa.Table) -> pa.Table:
-            buckets = (
-                _key_hash(batch, key_cols, key_types) % np.uint64(num_buckets)
-            ).astype(np.int64)
+            n = batch.num_rows
             cols = {
                 ok: pc.cast(batch.column(kc), l_key_types[ok])
-                for ok, kc in zip(out_key, key_cols)
+                for ok, kc in zip(on, key_cols)
             }
             for src, dst in payload.items():
                 cols[dst] = batch.column(src)
-            n = batch.num_rows
-            if salt_plan:
-                hot = _hot_mask(batch, key_cols)
-                if hot.any():
-                    key_rows = list(
-                        zip(*(batch.column(c).to_pylist() for c in key_cols))
-                    )
+            salt = np.zeros(n, dtype=np.int64)
+            replicas: list[tuple[int, int]] = []
+            if salt_plan and n:
+                key_rows = zip(*(batch.column(c).to_pylist() for c in key_cols))
+                for i, kt in enumerate(key_rows):
+                    k = salt_plan.get(kt)
+                    if k is None:
+                        continue
                     if side == 0:
-                        # split left hot rows across their salt range;
-                        # assignment is free to be arbitrary (results
-                        # identical whichever sub-bucket a left row
-                        # joins in) — block-local index is cheapest
-                        for i in np.nonzero(hot)[0]:
-                            s, k = salt_plan[key_rows[i]]
-                            buckets[i] = s + (int(i) % k)
+                        salt[i] = i % k
                     else:
-                        # replicate right hot rows into every salt
-                        # sub-bucket: emit the base table with hot rows
-                        # RE-bucketed to salt 0, plus one extra slice
-                        # per further salt
-                        parts = []
-                        base_cols = dict(cols)
-                        for i in np.nonzero(hot)[0]:
-                            s, _k = salt_plan[key_rows[i]]
-                            buckets[i] = s
-                        base = pa.table(
-                            {
-                                **base_cols,
-                                "__side": pa.array([side] * n, pa.int8()),
-                                "__jbucket": pa.array(buckets, pa.int64()),
-                            }
-                        )
-                        parts.append(base)
-                        for i in np.nonzero(hot)[0]:
-                            s, k = salt_plan[key_rows[i]]
-                            row = base.slice(int(i), 1)
-                            for salt in range(1, k):
-                                parts.append(
-                                    row.set_column(
-                                        row.schema.get_field_index("__jbucket"),
-                                        "__jbucket",
-                                        pa.array([s + salt], pa.int64()),
-                                    )
-                                )
-                        return pa.concat_tables(parts)
-            return pa.table(
+                        replicas.extend((i, s) for s in range(1, k))
+            out = pa.table(
                 {
                     **cols,
-                    "__side": pa.array([side] * n, pa.int8()),
-                    "__jbucket": pa.array(buckets, pa.int64()),
+                    "__side": pa.array(np.full(n, side, dtype=np.int8)),
+                    "__salt": pa.array(salt),
                 }
             )
+            if replicas:
+                rows, salts = (np.array(v, dtype=np.int64) for v in zip(*replicas))
+                rep = out.take(pa.array(rows))
+                rep = rep.set_column(rep.num_columns - 1, "__salt", pa.array(salts))
+                out = pa.concat_tables([out, rep])
+            return out
 
         return fn
 
-    lt = left.map_batches(
-        tag(0, on, on, {c: c for c in l_payload}), batch_format="pyarrow"
-    )
-    rt = right.map_batches(
-        tag(1, right_on, on, r_rename), batch_format="pyarrow"
-    )
+    lt = left.map_batches(tag(0, on, {c: c for c in l_payload}), batch_format="pyarrow")
+    rt = right.map_batches(tag(1, right_on, r_rename), batch_format="pyarrow")
 
     # pad to the common union schema (null columns for the other
     # side's payload — a few validity bits per row through the shuffle)
@@ -560,8 +497,7 @@ def hash_join(
     r_types = {
         r_rename[f.name]: f.type for f in r_schema if f.name not in right_on
     }
-    all_payload = l_payload + r_payload
-    union_order = on + all_payload + ["__side", "__jbucket"]
+    union_order = on + l_payload + r_payload + ["__side", "__salt"]
 
     def pad(missing_types: dict):
         def fn(batch: pa.Table) -> pa.Table:
@@ -572,21 +508,16 @@ def hash_join(
         return fn
 
     lt = lt.map_batches(pad(r_types), batch_format="pyarrow")
-    lt_r_types = {c: l_types[c] for c in l_payload}
-    rt = rt.map_batches(pad(lt_r_types), batch_format="pyarrow")
+    rt = rt.map_batches(pad({c: l_types[c] for c in l_payload}), batch_format="pyarrow")
 
     arrow_how = _HOW_TO_ARROW[how]
+    join_keys = on + ["__salt"]
     out_cols = on + l_payload + ([] if how in _LEFT_ONLY else r_payload)
 
-    def merge(group: pa.Table) -> pa.Table:
-        side = group.column("__side")
-        l_t = group.filter(pc.equal(side, 0)).select(on + l_payload)
-        r_t = group.filter(pc.equal(side, 1)).select(on + r_payload)
-        joined = _join_tables(l_t, r_t, on, arrow_how)
-        return joined.select(out_cols)
+    def merge(block: pa.Table) -> pa.Table:
+        side = block.column("__side")
+        l_t = block.filter(pc.equal(side, 0)).select(join_keys + l_payload)
+        r_t = block.filter(pc.equal(side, 1)).select(join_keys + r_payload)
+        return _join_tables(l_t, r_t, join_keys, arrow_how).select(out_cols)
 
-    return (
-        lt.union(rt)
-        .groupby("__jbucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return sorted_reduce(lt.union(rt), join_keys, merge)

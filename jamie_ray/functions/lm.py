@@ -13,11 +13,11 @@ Physical plan — the honest 100-TB shape:
 1. **distributed count pass** (the only corpus-scale work): ONE
    streaming ``map_batches`` over the training docs emits per-block
    ``Counter`` partials for unigrams AND bigrams together —
-   ``(bucket, order, gram, n)`` rows bounded by block-distinct grams,
-   not token occurrences — then one ``groupby(bucket)`` shuffle with an
-   Arrow ``group_by(order, gram).sum`` merge per bucket, pruned to
-   ``min_freq`` DISTRIBUTED-side so the driver never sees the unpruned
-   tail;
+   ``(order, gram, n)`` rows bounded by block-distinct grams, not token
+   occurrences — then one sorted shuffle on ``(order, gram)``
+   (``shuffle.sorted_reduce``) with an Arrow ``group_by(order,
+   gram).sum`` merge per sorted block, pruned to ``min_freq``
+   DISTRIBUTED-side so the driver never sees the unpruned tail;
 2. the pruned count table is collected under a loud cap
    (:class:`~jamie_ray.state.collect.EdgeCapExceeded`) into a small
    :class:`NgramLM` — LM vocabulary scales with Heaps' law, not corpus
@@ -43,11 +43,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
-from ..hashing import hash_str_array
+from ..shuffle import sorted_reduce
 from .text_analysis import ws_tokens
 
 __all__ = ["NgramLM", "ngram_counts", "train_ngram_lm", "score_perplexity"]
@@ -90,13 +90,12 @@ def ngram_counts(
     text_col: str = "text",
     *,
     min_freq: int = 1,
-    n_buckets: int = 1024,
 ):
     """training docs -> Dataset ``(order, gram, n)`` — unigram
     (``order=1``) and bigram (``order=2``) counts in one pass, one
-    bucketed shuffle of per-block-distinct partials, pruned to
+    sorted shuffle of per-block-distinct partials, pruned to
     ``n >= min_freq`` distributed-side. Bigrams never cross document
-    boundaries. Each bucket additionally emits two ``order=0`` summary
+    boundaries. Each sorted block additionally emits two ``order=0`` summary
     rows (``__total__`` unigram token mass, ``__types__`` distinct
     unigram types) computed BEFORE pruning, so the trainer recovers
     exact smoothing denominators without a second corpus pass."""
@@ -114,20 +113,16 @@ def ngram_counts(
         grams = k1 + k2
         orders = [1] * len(k1) + [2] * len(k2)
         ns = [c1[g] for g in k1] + [c2[g] for g in k2]
-        h = hash_str_array(grams, seed=11).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(np.mod(h, np.int64(n_buckets)), pa.int64()),
                 "order": pa.array(orders, pa.int8()),
                 "gram": pa.array(grams, pa.string()),
                 "n": pa.array(ns, pa.int64()),
             }
         )
 
-    def merge(group: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        gb = group.group_by(["order", "gram"]).aggregate([("n", "sum")])
+    def merge(block: pa.Table) -> pa.Table:
+        gb = block.group_by(["order", "gram"]).aggregate([("n", "sum")])
         # aggregates selected BY NAME (<col>_<agg>), never positionally
         out = pa.table(
             {
@@ -136,10 +131,10 @@ def ngram_counts(
                 "n": gb.column("n_sum"),
             }
         )
-        # per-bucket UNPRUNED denominator stats as order=0 summary rows
-        # (each gram lives in exactly one bucket, so driver-summing the
-        # <= n_buckets summaries is exact): __total__ = token mass,
-        # __types__ = distinct unigram types in this bucket
+        # per-block UNPRUNED denominator stats as order=0 summary rows
+        # (each gram lives in exactly one sorted block, so driver-summing
+        # the per-block summaries is exact): __total__ = token mass,
+        # __types__ = distinct unigram types in this block
         is_uni = pc.equal(out.column("order"), 1)
         uni_rows = out.filter(is_uni)
         summary = pa.table(
@@ -159,10 +154,8 @@ def ngram_counts(
             out = out.filter(pc.greater_equal(out.column("n"), min_freq))
         return pa.concat_tables([summary, out])
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
+    return sorted_reduce(
+        docs.map_batches(partial, batch_format="pyarrow"), ["order", "gram"], merge
     )
 
 
@@ -182,7 +175,7 @@ def train_ngram_lm(
     ``total`` (the unigram denominator) and ``v`` are the UNPRUNED
     token mass / type count: pruning drops rare *types* from the tables
     (they fall back to the unseen-mass path) but must not deflate the
-    denominators. Both come from the count pass's per-bucket ``order=0``
+    denominators. Both come from the count pass's per-block ``order=0``
     summary rows — exact integers, no extra corpus pass."""
     from ..state.collect import DEFAULT_EDGE_CAP, iter_capped_batches
 

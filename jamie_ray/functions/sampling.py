@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 
 from ..hashing import hash_str_array, stable_hash64, uniform01
+from ..shuffle import sorted_reduce
 
 __all__ = [
     "hash_sample",
@@ -193,7 +194,6 @@ def group_sample(
     *,
     id_col: str = "doc_id",
     salt: str = "",
-    n_buckets: int = 1024,
     edge_cap: int | None = None,
 ):
     """Balanced per-group sample: for each distinct ``key_col`` value,
@@ -205,10 +205,11 @@ def group_sample(
     already-selected rows.
 
     Physical plan: a per-block combiner keeps at most ``k`` candidates
-    per (block, key) — the one bucketed shuffle carries
-    ``(bucket, key, id, u)`` short rows bounded by blocks x groups x k,
-    never the corpus; the per-bucket merge re-selects the global k per
-    key; winners (k x n_groups ``(key, id)`` pairs, capped loudly)
+    per (block, key) — the one sorted shuffle on the key
+    (``shuffle.sorted_reduce``) carries ``(key, id, u)`` short rows
+    bounded by blocks x groups x k, never the corpus; the merge of each
+    sorted block re-selects the global k per key; winners (k x
+    n_groups ``(key, id)`` pairs, capped loudly)
     broadcast; one streaming filter pass returns the original rows
     intact. The input is consumed twice — pass a source-backed
     Dataset. Precondition: at most one row per ``(key_col, id_col)``
@@ -239,16 +240,11 @@ def group_sample(
         ids = batch.column(id_col).to_pylist()
         us = _id_uniform(batch.column(id_col), seed)
         picked = _select_k(keys, ids, us)
-        key_hash = hash_str_array([str(keys[i]) for i in picked])
         # key/id typed from the INPUT columns: an empty block's
         # pa.array([]) would infer null type and break block schema
         # unification in the shuffle (the kmv_distinct guard)
         return pa.table(
             {
-                "bucket": pa.array(
-                    (key_hash % np.uint64(n_buckets)).astype(np.int64),
-                    pa.int64(),
-                ),
                 "key": pa.array(
                     [keys[i] for i in picked], batch.column(key_col).type
                 ),
@@ -259,26 +255,24 @@ def group_sample(
             }
         )
 
-    def merge(group: pa.Table) -> pa.Table:
-        keys = group.column("key").to_pylist()
-        ids = group.column("id").to_pylist()
-        us = group.column("u").to_numpy(zero_copy_only=False)
+    def merge(block: pa.Table) -> pa.Table:
+        keys = block.column("key").to_pylist()
+        ids = block.column("id").to_pylist()
+        us = block.column("u").to_numpy(zero_copy_only=False)
         picked = _select_k(keys, ids, us)
         return pa.table(
             {
                 "key": pa.array(
-                    [keys[i] for i in picked], group.column("key").type
+                    [keys[i] for i in picked], block.column("key").type
                 ),
                 "id": pa.array(
-                    [ids[i] for i in picked], group.column("id").type
+                    [ids[i] for i in picked], block.column("id").type
                 ),
             }
         )
 
-    winners = (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pyarrow")
+    winners = sorted_reduce(
+        ds.map_batches(combine, batch_format="pyarrow"), "key", merge
     )
     # membership is (key, id) PAIRS, not bare ids: an id appearing
     # under several keys (a doc replicated per group) must only keep

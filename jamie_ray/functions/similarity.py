@@ -29,6 +29,7 @@ import pyarrow as pa
 import ray
 
 from ..hashing import mix64
+from ..shuffle import per_run, sorted_reduce
 
 # Default hyperplane count -> 2^12 = 4096 buckets. This sizes bucket
 # occupancy for ~10^5-10^7 vectors; the scale dial is ``n_planes`` on
@@ -323,10 +324,10 @@ def embedding_near_dup(
             }
         )
 
-    return (
-        embeddings.map_batches(expand, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pyarrow")
+    return sorted_reduce(
+        embeddings.map_batches(expand, batch_format="pyarrow"),
+        "bucket",
+        lambda block: per_run(block, "bucket", verify),
     )
 
 
@@ -447,10 +448,10 @@ def semantic_dedup(
             }
         )
 
-    return (
-        embeddings.map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(verify, batch_format="pyarrow")
+    return sorted_reduce(
+        embeddings.map_batches(assign, batch_format="pyarrow"),
+        "cluster",
+        lambda block: per_run(block, "cluster", verify),
     )
 
 

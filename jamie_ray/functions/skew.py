@@ -16,6 +16,34 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..shuffle import null_codes, run_bounds, sorted_reduce
+
+
+def _sum_by(table: pa.Table, keys: list[str], sums: list[str], count: str | None) -> pa.Table:
+    """``keys`` + ``<c>_sum`` per ``sums`` column + ``__n`` (the row
+    count, or the sum of ``count``) per distinct key tuple, grouped on
+    ``shuffle.null_codes`` so null keys form one group."""
+    codes = {k: null_codes(table.column(k)) for k in keys}
+    n = table.column(count) if count else pa.array(np.ones(table.num_rows, np.int64))
+    work = pa.table(
+        {
+            **{k: c.indices for k, c in codes.items()},
+            **{c: table.column(c) for c in sums},
+            "__n": n,
+        }
+    )
+    gb = work.group_by(keys, use_threads=False).aggregate(
+        [(c, "sum") for c in sums] + [("__n", "sum")]
+    )
+    # select by the documented <col>_<agg> names — pyarrow's output
+    # column ORDER is an implementation detail (CLAUDE.md rule)
+    cols = {k: codes[k].dictionary.take(gb.column(k)) for k in keys}
+    for c in sums:
+        cols[c] = gb.column(f"{c}_sum")
+    cols["__n"] = gb.column("__n_sum")
+    return pa.table(cols)
 
 
 def salted_group_sum(
@@ -26,66 +54,34 @@ def salted_group_sum(
     n_salts: int = 16,
     count_as: str = "n",
 ):
-    """groupby(key).sum(...) with a salt stage: shuffle #1 on
+    """groupby(key).sum(...) with a salt stage: sorted shuffle #1 on
     (key, salt) — a hot key spreads over n_salts reducers — then a tiny
-    shuffle #2 on key over the already-reduced rows. Returns one row per
-    key with exact sums + counts."""
+    sorted shuffle #2 on key over the already-reduced rows. Returns one
+    row per key (null keys form one group, like SQL ``GROUP BY``) with
+    exact sums + counts."""
+    sums = [f"{c}_sum" for c in sum_cols]
 
-    def add_salt(batch: pa.Table) -> pa.Table:
+    def local(batch: pa.Table) -> pa.Table:
         # round-robin by block-local row index: salt assignment is free
         # to be arbitrary (sums merge across salts, so WHICH salt a row
         # lands on never affects results — only load balance), and the
         # plain modulo spreads a hot key perfectly evenly, unlike a
         # hash, which collides away ~1/e of the salt space
-        n = batch.num_rows
-        salts = np.arange(n, dtype=np.int64) % n_salts
-        return batch.append_column(
-            "__salt", pa.array(salts.astype(np.int32), pa.int32())
-        )
+        salts = np.arange(batch.num_rows, dtype=np.int64) % n_salts
+        t = batch.select([key, *sum_cols]).rename_columns([key, *sums])
+        t = t.append_column("__salt", pa.array(salts))
+        return _sum_by(t, [key, "__salt"], sums, None)
 
-    def local(batch: pa.Table) -> pa.Table:
-        gb = batch.group_by([key, "__salt"]).aggregate(
-            [(c, "sum") for c in sum_cols] + [(key, "count")]
-        )
-        # select by the documented <col>_<agg> names — pyarrow's output
-        # column ORDER is an implementation detail (CLAUDE.md rule)
-        cols = {
-            key: gb.column(key),
-            "__salt": gb.column("__salt"),
-        }
-        for c in sum_cols:
-            cols[f"{c}_sum"] = gb.column(f"{c}_sum")
-        cols["__n"] = gb.column(f"{key}_count")
-        return pa.table(cols)
-
-    salted = ds.map_batches(add_salt, batch_format="pyarrow").map_batches(
-        local, batch_format="pyarrow"
+    stage1 = sorted_reduce(
+        ds.map_batches(local, batch_format="pyarrow"),
+        [key, "__salt"],
+        lambda b: _sum_by(b, [key, "__salt"], sums, "__n").drop_columns(["__salt"]),
     )
-    stage1 = salted.groupby([key, "__salt"]).sum(
-        [f"{c}_sum" for c in sum_cols] + ["__n"]
+    return sorted_reduce(
+        stage1,
+        key,
+        lambda b: _sum_by(b, [key], sums, "__n").rename_columns([key, *sums, count_as]),
     )
-
-    def strip(batch: pa.Table) -> pa.Table:
-        cols = {key: batch.column(key)}
-        for c in sum_cols:
-            cols[f"{c}_sum"] = batch.column(f"sum({c}_sum)")
-        cols["__n"] = batch.column("sum(__n)")
-        return pa.table(cols)
-
-    stage2 = (
-        stage1.map_batches(strip, batch_format="pyarrow")
-        .groupby(key)
-        .sum([f"{c}_sum" for c in sum_cols] + ["__n"])
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        cols = {key: batch.column(key)}
-        for c in sum_cols:
-            cols[f"{c}_sum"] = batch.column(f"sum({c}_sum)")
-        cols[count_as] = batch.column("sum(__n)")
-        return pa.table(cols)
-
-    return stage2.map_batches(finish, batch_format="pyarrow")
 
 
 def grouped_topk(
@@ -96,37 +92,29 @@ def grouped_topk(
     *,
     id_col: str = "doc_id",
     descending: bool = True,
-    n_buckets: int = 1024,
 ):
     """Deterministic top-``k`` rows per key — the public form of the
-    combiner the relational pipelines use internally (block-local
-    top-k per key BEFORE the shuffle, so a hot key ships at most
-    ``blocks x k`` rows instead of its full mass).
+    combiner the relational pipelines use (block-local top-k per key
+    BEFORE the shuffle, so a hot key ships at most ``blocks x k`` rows
+    instead of its full mass).
 
     Rank order is ``value`` (``descending=`` direction) with the
     ``id_col`` ascending tiebreak, so results are bit-deterministic on
     any block layout and any tie pattern — the SQL twin is
     ``row_number() OVER (PARTITION BY key ORDER BY value DESC, id)
-    <= k``. The shuffle key is the COARSE ``hash(key) % n_buckets``
-    bucket (the repo shuffle rule — never one dispatch per
-    near-singleton key group); the within-bucket pass re-runs the same
-    vectorized select over every key in the bucket. NULL values are
+    <= k``. The shuffle is one sorted shuffle on the key
+    (``shuffle.sorted_reduce``); each sorted block re-runs the same
+    vectorized select over every key it holds. NULL values are
     rejected loudly (rank order would be engine-defined); NULL keys
     form their own group, like SQL ``GROUP BY``.
 
     Returns the winning rows with their original columns.
     """
-    import pyarrow.compute as pc
-
-    from ..hashing import stable_hash64
-
     if k < 1:
         raise ValueError(f"grouped_topk: need k >= 1, got {k}")
     order = "descending" if descending else "ascending"
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         if batch.column(value_col).null_count:
             raise ValueError(
                 f"grouped_topk: column {value_col!r} contains NULL — "
@@ -136,48 +124,12 @@ def grouped_topk(
         # one key are contiguous and already rank-sorted, so the top-k
         # mask is pure index arithmetic over the key runs
         s = batch.sort_by(
-            [
-                (key_col, "ascending"),
-                (value_col, order),
-                (id_col, "ascending"),
-            ]
+            [(key_col, "ascending"), (value_col, order), (id_col, "ascending")]
         )
-        keys = s.column(key_col)
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        n = len(keys)
-        # run starts: index 0 plus every key change (null-safe compare)
-        neq = pc.not_equal(keys.slice(1), keys.slice(0, n - 1))
-        neq = pc.fill_null(neq, True)  # null vs value boundary
-        # two nulls in a row: not_equal gives null -> filled True above,
-        # but SQL groups nulls together — recompute via validity
-        if keys.null_count:
-            v = pc.is_valid(keys)
-            both_null = pc.and_(
-                pc.invert(v.slice(1)), pc.invert(v.slice(0, n - 1))
-            )
-            neq = pc.and_(neq, pc.invert(both_null))
-        changes = np.flatnonzero(
-            neq.to_numpy(zero_copy_only=False)
-        ) + 1
-        starts = np.concatenate(([0], changes))
-        run_of = np.searchsorted(starts, np.arange(n), side="right") - 1
-        rank = np.arange(n, dtype=np.int64) - starts[run_of]
+        starts, ends = run_bounds(s, key_col)
+        rank = np.arange(s.num_rows) - np.repeat(starts, ends - starts)
         return s.filter(pa.array(rank < k))
 
-    def bucketed(batch: pa.Table) -> pa.Table:
-        t = local_topk(batch)
-        b = pa.array(
-            [
-                stable_hash64("gtk", kv) % n_buckets
-                for kv in t.column(key_col).to_pylist()
-            ],
-            pa.int64(),
-        )
-        return t.append_column("__gtk_bucket", b)
-
-    combined = ds.map_batches(bucketed, batch_format="pyarrow")
-    return combined.groupby("__gtk_bucket").map_groups(
-        lambda g: local_topk(g.drop_columns(["__gtk_bucket"])),
-        batch_format="pyarrow",
+    return sorted_reduce(
+        ds.map_batches(local_topk, batch_format="pyarrow"), key_col, local_topk
     )

@@ -4,8 +4,9 @@ reference, which has no streaming concerns at all — SURVEY.md §2.8).
 Ray Data's executor streams blocks but is not a stream processor; when
 semantics genuinely need incremental state the pattern is:
 
-- state scoped WITHIN a key: ``groupby(key).map_groups`` with a
-  ts-ordered scan inside the group (``sessionize`` in ``temporal.py``);
+- state scoped WITHIN a key: ``shuffle.sorted_reduce`` on the key with
+  a ts-ordered scan that resets at every key change inside each sorted
+  block (``sessionize`` in ``temporal.py``);
 - GLOBAL running state: sort by ts, then a single-actor
   ``map_batches(Cls, concurrency=1)`` whose instance carries the
   accumulator across batches — implemented here.

@@ -1,15 +1,19 @@
 """Custom temporal operators Ray Data lacks natively (brief: "as-of
 join, range join, windowed aggregate").
 
-Both operators follow the documented composition rule: express the
-semantics as ``union(side-tagged) -> groupby(key) -> map_groups`` so the
-only data movement is ONE hash shuffle on the join/partition key, and
-each group's logic is a vectorized in-memory merge.
+The joins follow one composition rule: express the semantics as
+``union(side-tagged) -> shuffle.sorted_reduce(key)`` so the only data
+movement is ONE sorted shuffle on the join/partition key; each sorted
+block holds whole keys and runs the per-key merge over its key runs
+(``shuffle.per_run``). ``sessionize`` is the same shuffle with a
+vectorized reducer: one lexsort per block and a gap cumsum that resets
+at every key change.
 
 Partitioning assumption (documented per the custom-operator rule): all
-rows of one key fit in one group worker. For web-scale event streams
+rows of one key fit in one sorted block. For web-scale event streams
 that holds after salting by (key, time-bucket); the pure-key variant
-here matches the oracle semantics exactly.
+here matches the oracle semantics exactly. Null keys form one key, as
+in a SQL ``GROUP BY``: a null-key left row matches null-key right rows.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from bisect import bisect_left
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..shuffle import per_run, run_bounds, sorted_reduce
 
 
 def _us_col(col) -> np.ndarray:
@@ -48,6 +54,13 @@ def _bucket_col(col, bucket_us: int) -> pa.Array:
     """ts column -> int64 time-bucket id (floor(us / bucket_us) —
     integer floor division, exact at any epoch)."""
     return pa.array(_us_col(col) // np.int64(bucket_us), pa.int64())
+
+
+def _tagged_schema(ds, tag) -> dict:
+    """Column name -> type of ``ds.map_batches(tag)``, from ``tag`` on
+    zero rows of ``ds``'s schema: a mapped Dataset has no schema until
+    it runs, and none at all when it holds no rows."""
+    return {f.name: f.type for f in tag(ds.schema().base_schema.empty_table()).schema}
 
 
 def _tie_key(ts_val, v):
@@ -108,12 +121,10 @@ def asof_join(
         return fn
 
     left_cols = [c for c in left.schema().names if c not in (left_key,)]
-    lt = left.map_batches(
-        tag(0, left_key, left_ts, left_cols), batch_format="pyarrow"
-    )
-    rt = right.map_batches(
-        tag(1, right_key, right_ts, right_cols), batch_format="pyarrow"
-    )
+    tag_left = tag(0, left_key, left_ts, left_cols)
+    tag_right = tag(1, right_key, right_ts, right_cols)
+    lt = left.map_batches(tag_left, batch_format="pyarrow")
+    rt = right.map_batches(tag_right, batch_format="pyarrow")
 
     summary_ref = None
     if salted:
@@ -121,22 +132,21 @@ def asof_join(
 
         from ..state.collect import iter_capped_batches
 
-        def summarize(group: pa.Table) -> pa.Table:
-            ts = _us_col(group.column("__ts"))
-            first = group.column(right_cols[0]).to_pylist()
-            best = max(range(len(ts)), key=lambda i: _tie_key(ts[i], first[i]))
-            row = {
-                "__key": group.column("__key").slice(best, 1),
-                "__salt": group.column("__salt").slice(best, 1),
-                "__ts_sec": pa.array([float(ts[best])], pa.float64()),
-            }
-            for c in right_cols:
-                row[c] = group.column(c).slice(best, 1)
-            return pa.table(row)
+        def summarize(block: pa.Table) -> pa.Table:
+            # the max-(ts, first col) right row of each (key, bucket):
+            # sort each run by it (nulls in the tie column smallest,
+            # _tie_key) and take the run's last row
+            us = _us_col(block.column("__ts")).astype(np.float64)
+            t = block.append_column("__ts_sec", pa.array(us))
+            t = t.sort_by(
+                [("__key", "ascending"), ("__salt", "ascending"),
+                 ("__ts_sec", "ascending"), (right_cols[0], "ascending")],
+                null_placement="at_start",
+            )
+            last = pa.array(run_bounds(t, ["__key", "__salt"])[1] - 1)
+            return t.select(["__key", "__salt", "__ts_sec", *right_cols]).take(last)
 
-        summ_ds = rt.groupby(["__key", "__salt"]).map_groups(
-            summarize, batch_format="pyarrow"
-        )
+        summ_ds = sorted_reduce(rt, ["__key", "__salt"], summarize)
         # key -> sorted [(bucket, ts_sec, {col: value})]
         summary_map: dict = {}
         for b in iter_capped_batches(summ_ds, context="asof bucket summaries"):
@@ -163,8 +173,8 @@ def asof_join(
 
         return fn
 
-    l_schema = {f.name: f.type for f in lt.schema().base_schema}
-    r_schema = {f.name: f.type for f in rt.schema().base_schema}
+    l_schema = _tagged_schema(left, tag_left)
+    r_schema = _tagged_schema(right, tag_right)
     lt = lt.map_batches(
         pad([c for c in r_schema if c not in l_schema], r_schema),
         batch_format="pyarrow",
@@ -242,9 +252,10 @@ def asof_join(
                 parts.append(pa.table(fb))
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
 
-    unioned = lt.union(rt)
-    group_keys = ["__key", "__salt"] if salted else "__key"
-    return unioned.groupby(group_keys).map_groups(merge, batch_format="pyarrow")
+    group_keys = ["__key", "__salt"] if salted else ["__key"]
+    return sorted_reduce(
+        lt.union(rt), group_keys, lambda block: per_run(block, group_keys, merge)
+    )
 
 
 def sessionize(
@@ -262,17 +273,22 @@ def sessionize(
     """
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def sessions(group: pa.Table) -> pa.Table:
-        tss = _us_col(group.column(ts))
-        eids = np.asarray(group.column(id_col).to_pylist())
-        order = np.lexsort((eids, tss))
+    def sessions(block: pa.Table) -> pa.Table:
+        # the block holds whole keys in key runs: order every row by
+        # (run, ts, id), then a session starts at each gap or run start
+        starts, ends = run_bounds(block, key)
+        run = np.repeat(np.arange(len(starts)), ends - starts)
+        tss = _us_col(block.column(ts))
+        eids = np.asarray(block.column(id_col).to_pylist())
+        order = np.lexsort((eids, tss, run))
         gaps = np.diff(tss[order]) > gap_us
-        session_of_sorted = np.concatenate(([0], np.cumsum(gaps)))
-        session = np.empty(len(order), dtype=np.int64)
-        session[order] = session_of_sorted
-        return group.append_column("session_id", pa.array(session, pa.int64()))
+        gaps[starts[1:] - 1] = False  # a new key is not a gap
+        n_gaps = np.concatenate(([0], np.cumsum(gaps)))
+        session = np.empty(block.num_rows, dtype=np.int64)
+        session[order] = n_gaps - np.repeat(n_gaps[starts], ends - starts)
+        return block.append_column("session_id", pa.array(session, pa.int64()))
 
-    return events.groupby(key).map_groups(sessions, batch_format="pyarrow")
+    return sorted_reduce(events, key, sessions)
 
 
 def hopping_window_agg(
@@ -391,8 +407,8 @@ def range_join(
     """Range (interval) join: every (left, right) pair with matching key
     and ``right_ts`` in ``[left_ts + lower, left_ts + upper]`` seconds.
 
-    Same physical shape as :func:`asof_join` (one hash shuffle on the
-    key, vectorized per-group window scan via searchsorted); emits one
+    Same physical shape as :func:`asof_join` (one sorted shuffle on the
+    key, vectorized per-key window scan via searchsorted); emits one
     row per qualifying pair (inner join).
 
     ``bucket_seconds`` (hot-key salting, SURVEY §4): when set, the
@@ -446,7 +462,7 @@ def range_join(
         row_idx = np.repeat(np.arange(len(t_us), dtype=np.int64), reps)
         # per-replica bucket: bmin[row] + intra-row offset
         offsets = np.arange(len(row_idx), dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(reps)[:-1])), reps
+            np.cumsum(reps) - reps, reps
         )
         salts = bmin[row_idx] + offsets
         t = t.take(pa.array(row_idx))
@@ -463,8 +479,8 @@ def range_join(
 
         return fn
 
-    l_schema = {f.name: f.type for f in lt.schema().base_schema}
-    r_schema = {f.name: f.type for f in rt.schema().base_schema}
+    l_schema = _tagged_schema(left, tag_left)
+    r_schema = _tagged_schema(right, tag_right)
     lt = lt.map_batches(pad([c for c in r_schema if c not in l_schema], r_schema),
                         batch_format="pyarrow")
     rt = rt.map_batches(pad([c for c in l_schema if c not in r_schema], l_schema),
@@ -504,6 +520,5 @@ def range_join(
             out[c] = col.take(r_idx if c in right_cols else l_idx)
         return pa.table(out)
 
-    unioned = lt.union(rt)
-    keys = ["__key", "__salt"] if salted else "__key"
-    return unioned.groupby(keys).map_groups(merge, batch_format="pyarrow")
+    keys = ["__key", "__salt"] if salted else ["__key"]
+    return sorted_reduce(lt.union(rt), keys, lambda block: per_run(block, keys, merge))

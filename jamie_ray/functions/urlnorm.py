@@ -30,6 +30,8 @@ from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..shuffle import sorted_reduce
+
 __all__ = [
     "TRACKING_PARAMS",
     "TRACKING_PREFIXES",
@@ -162,9 +164,10 @@ def url_dedup(
     URL stage, drop-losers joins).
 
     Same combiner algebra as :func:`dedup_docs.exact_dedup`: per-block
-    ``group_by`` pre-reduction (min id + count) so the one shuffle
-    carries only short distinct rows; the per-group merge re-reduces
-    the partials identically.
+    ``group_by`` pre-reduction (min id + count) so the one sorted
+    shuffle on the canonical URL (``shuffle.sorted_reduce``) carries
+    only short distinct rows; each sorted block re-reduces the partials
+    identically.
     """
 
     def reduce_partials(batch: pa.Table) -> pa.Table:
@@ -198,9 +201,7 @@ def url_dedup(
         return reduce_partials(ones)
 
     combined = docs.map_batches(local, batch_format="pyarrow")
-    return combined.groupby("canonical_url").map_groups(
-        reduce_partials, batch_format="pyarrow"
-    )
+    return sorted_reduce(combined, "canonical_url", reduce_partials)
 
 
 def domain_of(url: str | None, *, strip_www: bool = True) -> str | None:

@@ -40,39 +40,6 @@ from ..state.lineage import append_manifest, read_manifest
 DEFAULT_SCORER_BATCH = 64
 
 
-@ray.remote(num_cpus=0)
-class _ShardCounters:
-    """Side-aggregate lineage counters for one shard run.
-
-    Kernels report per-batch counts keyed by a content fingerprint
-    (first url, last url, row count), so a retried task that re-sends
-    the same batch overwrites rather than double-counts — counts stay
-    exact under Ray's task retry semantics.
-    """
-
-    def __init__(self) -> None:
-        self._pages: dict[int, tuple[int, int]] = {}
-        self._chunks: dict[int, int] = {}
-
-    def record_pages(self, key: int, healthy: int, quarantined: int) -> None:
-        self._pages[key] = (healthy, quarantined)
-
-    def record_chunks(self, key: int, n: int) -> None:
-        self._chunks[key] = n
-
-    def snapshot(self) -> tuple[int, dict]:
-        return len(self._pages) + len(self._chunks), {
-            "n_pages": sum(h for h, _ in self._pages.values()),
-            "n_quarantined_pages": sum(q for _, q in self._pages.values()),
-            "n_chunks": sum(self._chunks.values()),
-        }
-
-
-# settled reads of _ShardCounters reuse state/caps.cap_totals — the
-# snapshot() contract (n_records, totals) is shared by design, so the
-# settle-poll logic lives in exactly one place
-
-
 def _batch_fingerprint(batch, col: str) -> int:
     # hash of the FULL ordered key column — (first, last, count) would
     # collide on re-crawl-heavy shards (two blocks bounded by the same
@@ -385,15 +352,16 @@ def materialize_graph(
         # idempotency keys, FIRE-AND-FORGET (the hot path never blocks
         # on an actor round trip; retried tasks overwrite their own
         # keys, so totals stay exact)
-        counters = _ShardCounters.remote()
+        counters = new_cap_counters()
 
         def tap_pages(b):
             import pyarrow.compute as _pc
 
             q = _pc.sum(_pc.not_equal(b.column("error"), "")).as_py() or 0
-            counters.record_pages.remote(
-                _batch_fingerprint(b, "url"), b.num_rows - q, q
-            )
+            key = _batch_fingerprint(b, "url")
+            counters.record.remote("pages", key, b.num_rows - q)
+            if q:
+                counters.record.remote("quarantined_pages", key, q)
             return b
 
         def tap_chunks(b):
@@ -402,7 +370,7 @@ def materialize_graph(
                 b.column("chunk_id")[0].as_py() if b.num_rows else -1,
                 b.column("chunk_id")[-1].as_py() if b.num_rows else -1,
             )
-            counters.record_chunks.remote(key, b.num_rows)
+            counters.record.remote("chunks", key, b.num_rows)
             return b
 
         pages = read_pages(shard_input, shard_filter=shard_filter)
@@ -437,12 +405,12 @@ def materialize_graph(
             out_dir,
             {
                 "shard": shard,
-                "n_pages": int(totals["n_pages"]),
-                "n_chunks": int(totals["n_chunks"]),
+                "n_pages": totals.get("pages", 0),
+                "n_chunks": totals.get("chunks", 0),
                 # raw mention-level triples (linking and dedup run once,
                 # in finalize)
                 "n_triples": int(_count_parquet_rows(shard_dir)),
-                "n_quarantined_pages": int(totals["n_quarantined_pages"]),
+                "n_quarantined_pages": totals.get("quarantined_pages", 0),
                 "input_fingerprint": f"{pages_path}#{fingerprint}",
                 "wall_time_s": round(time.time() - t0, 3),
             },

@@ -31,6 +31,7 @@ from ..functions.text_analysis import (
     quality_score_batch,
     token_count_batch,
 )
+from ..shuffle import run_bounds, sorted_reduce
 
 
 def _read(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -209,10 +210,11 @@ def distinct_event_types(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.table({"event_type": pa.array(vals, pa.string())})
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
+    def first_of_each_run(block: pa.Table) -> pa.Table:
+        return block.take(pa.array(run_bounds(block, "event_type")[0]))
+
+    return sorted_reduce(
+        ds.map_batches(local, batch_format="pyarrow"), "event_type", first_of_each_run
     )
 
 
@@ -717,35 +719,14 @@ def shipping_priority(sf_dir: str) -> ray.data.Dataset:
 
 def top_customers_per_segment(sf_dir: str) -> ray.data.Dataset:
     """Grouped top-k: 3 highest-balance customers per market segment
-    (the window-function analogue).
+    (the window-function analogue), through ``skew.grouped_topk``: a
+    block-local top-3-per-segment combiner runs BEFORE the shuffle, so
+    at most 3 × n_segments rows leave each block even though the key
+    has only ~5 values."""
+    from ..functions.skew import grouped_topk
 
-    Top-k is associative, so a block-local top-3-per-segment combiner
-    runs BEFORE the shuffle: at most 3 × n_segments rows leave each
-    block, and the per-group finish sorts ≤ 3 × n_blocks rows — no
-    group ever holds a corpus-fraction of the table, even though the
-    key has only ~5 values (the unbounded-hot-group shape this
-    replaces would pull 1/5 of all customers into one worker)."""
     ds = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment", "c_acctbal"])
-
-    def topk(group: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            group,
-            sort_keys=[("c_acctbal", "descending"), ("c_custkey", "ascending")],
-        )
-        return group.take(idx[:3])
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        parts = []
-        for seg in pc.unique(batch.column("c_mktsegment")).to_pylist():
-            part = batch.filter(pc.equal(batch.column("c_mktsegment"), seg))
-            parts.append(topk(part))
-        return pa.concat_tables(parts) if parts else batch.slice(0, 0)
-
-    return (
-        ds.map_batches(local_topk, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .map_groups(topk, batch_format="pyarrow")
-    )
+    return grouped_topk(ds, "c_mktsegment", "c_acctbal", 3, id_col="c_custkey")
 
 
 def events_json_extract(sf_dir: str) -> ray.data.Dataset:

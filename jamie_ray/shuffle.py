@@ -25,7 +25,9 @@ The contract a reducer ``fn`` keeps:
 - on zero rows it returns the output schema (empty typed columns), so
   block schemas unify;
 - it sorts the block itself when it needs a secondary order, and finds
-  the key runs with :func:`run_bounds`.
+  the key runs with :func:`run_bounds` (or hands each run to a
+  per-group kernel with :func:`per_run` when the logic really is per
+  group).
 
 Sort on the reduce key ONLY: ``sort([key, secondary])`` range-partitions
 on the tuple, and a key run can then straddle two blocks.
@@ -81,3 +83,20 @@ def run_bounds(table: pa.Table, cols: str | list[str]) -> tuple[np.ndarray, np.n
     starts = np.concatenate([[0], np.flatnonzero(change) + 1]).astype(np.int64)
     ends = np.append(starts[1:], n).astype(np.int64)
     return starts, ends
+
+
+def null_codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
+    """Null-safe group key: dictionary indices with null as its own
+    entry. pyarrow's multi-key ``group_by`` splits rows whose string key
+    is null into several groups, so nulls never reach the grouper."""
+    return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
+
+
+def per_run(
+    block: pa.Table, cols: str | list[str], fn: Callable[[pa.Table], pa.Table]
+) -> pa.Table:
+    """``fn`` over each equal-key run of sorted ``block``, concatenated;
+    ``fn`` of the zero-row block when there is no run, so the output
+    schema holds on zero rows too."""
+    parts = [fn(block.slice(s, e - s)) for s, e in zip(*run_bounds(block, cols))]
+    return pa.concat_tables(parts) if parts else fn(block.slice(0, 0))

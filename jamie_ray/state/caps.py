@@ -1,4 +1,7 @@
-"""Observable truncation counters for capped blocking kernels.
+"""Idempotent side counters: truncations of capped blocking kernels,
+and the per-shard lineage counts of ``pipelines/kg.materialize_graph``
+(``pages``, ``quarantined_pages``, ``chunks``, keyed by a batch
+fingerprint).
 
 The banded candidate generators (minhash near-dup, simhash, embedding
 near-dup, entity-link bands) and the inverted index bound their
@@ -37,7 +40,8 @@ import ray
 
 @ray.remote(num_cpus=0)
 class CapCounters:
-    """Side-aggregate of per-group truncation counts (idempotent keys)."""
+    """Side-aggregate of named counts; ``record`` is idempotent per
+    ``(counter, key)``, so a retried task's resend overwrites."""
 
     def __init__(self) -> None:
         self._recs: dict[tuple[str, int], int] = {}

@@ -1936,17 +1936,16 @@ def test_bpe_word_min_freq_prunes_distributed_side(ray_session):
         {"doc_id": 1, "text": "banana banana banana bandana bandana"},
         {"doc_id": 2, "text": "banana banana bandana"},
     ]
-    CAP = 60  # << 503 word types; >= frequent types + <=16 summary rows
+    CAP = 60  # << 503 word types; >= frequent types + one summary row per block
 
     docs = ray.data.from_items(list(docs_rows))
     with pytest.raises(EdgeCapExceeded):
-        bpe.train_bpe(docs, vocab_cap=CAP, n_buckets=16)
+        bpe.train_bpe(docs, vocab_cap=CAP)
 
     pruned = bpe.train_bpe(
         ray.data.from_items(list(docs_rows)),
         vocab_cap=CAP,
         word_min_freq=2,
-        n_buckets=16,
         n_merges=10,
     )
     full = bpe.train_bpe(

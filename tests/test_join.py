@@ -1,7 +1,7 @@
 """Distributed hash join (`functions/join.py`) vs a pure-Python
 SQL-semantics replay oracle: all six join types, null keys, duplicate
 keys, key-type widening, hot-key salting (salted == unsalted), layout
-determinism, and the native Ray Data path."""
+determinism, and the broadcast path."""
 
 from __future__ import annotations
 
@@ -99,7 +99,7 @@ def _datasets():
 def test_hash_join_matches_sql_replay(ray_session, how):
     left, right = _datasets()
     got = hash_join(
-        left, right, "k", right_on="rk", how=how, num_buckets=8
+        left, right, "k", right_on="rk", how=how
     ).take_all()
     exp = _replay(_left_rows(), _right_rows(), ["k"], ["rk"], how, L_COLS, R_COLS)
     assert _norm(got) == _norm(exp)
@@ -118,7 +118,6 @@ def test_hash_join_multicol_string_keys(ray_session):
         ray.data.from_items(rrows),
         ["a", "b"],
         how="left",
-        num_buckets=4,
     ).take_all()
     exp = _replay(
         lrows, rrows, ["a", "b"], ["a", "b"], "left", ["a", "b", "lv"], ["a", "b", "rv"]
@@ -147,7 +146,6 @@ def test_hash_join_temporal_keys_mixed_units(ray_session):
         ray.data.from_arrow(rt),
         "t",
         how="inner",
-        num_buckets=4,
     ).take_all()
     assert sorted(r["lv"] for r in got) == [0, 2, 4, 6]
     assert sorted(r["rv"] for r in got) == [10, 20, 30, 40]
@@ -157,7 +155,7 @@ def test_hash_join_temporal_keys_mixed_units(ray_session):
     ld = pa.table({"d": pa.array(dates, pa.date32()), "lv": list(range(6))})
     rd = pa.table({"d": pa.array(dates[:3], pa.date32()), "rv": [7, 8, 9]})
     got = hash_join(
-        ray.data.from_arrow(ld), ray.data.from_arrow(rd), "d", num_buckets=4
+        ray.data.from_arrow(ld), ray.data.from_arrow(rd), "d"
     ).take_all()
     assert sorted(r["lv"] for r in got) == [0, 1, 2]
 
@@ -169,7 +167,7 @@ def test_hash_join_key_type_widening(ray_session):
     lt = pa.table({"k": pa.array([1, 2, 3], pa.int64()), "lv": ["a", "b", "c"]})
     rt = pa.table({"k": pa.array([2, 3, 3], pa.int32()), "rv": [20, 30, 31]})
     got = hash_join(
-        ray.data.from_arrow(lt), ray.data.from_arrow(rt), "k", num_buckets=4
+        ray.data.from_arrow(lt), ray.data.from_arrow(rt), "k"
     ).take_all()
     exp = [
         {"k": 2, "lv": "b", "rv": 20},
@@ -183,7 +181,7 @@ def test_hash_join_key_type_widening(ray_session):
 def test_hash_join_salted_equals_unsalted(ray_session, how):
     left, right = _datasets()
     plain = hash_join(
-        left, right, "k", right_on="rk", how=how, num_buckets=8
+        left, right, "k", right_on="rk", how=how
     ).take_all()
     salted = hash_join(
         left,
@@ -191,7 +189,6 @@ def test_hash_join_salted_equals_unsalted(ray_session, how):
         "k",
         right_on="rk",
         how=how,
-        num_buckets=8,
         hot_keys={3: 4, 5: 2},
     ).take_all()
     assert _norm(salted) == _norm(plain)
@@ -205,9 +202,9 @@ def test_hash_join_auto_salt_equals_unsalted(ray_session, how):
     rrows = [{"k": i % 13, "rv": 100 + i} for i in range(30)]
     left = ray.data.from_items(lrows).repartition(4)
     right = ray.data.from_items(rrows).repartition(2)
-    plain = hash_join(left, right, "k", how=how, num_buckets=8).take_all()
+    plain = hash_join(left, right, "k", how=how).take_all()
     salted = hash_join(
-        left, right, "k", how=how, num_buckets=8, auto_salt=True
+        left, right, "k", how=how, auto_salt=True
     ).take_all()
     assert _norm(salted) == _norm(plain)
 
@@ -236,7 +233,7 @@ def test_hash_join_layout_determinism(ray_session):
         right = ray.data.from_items(_right_rows()).repartition(max(1, nblocks // 2))
         got = _norm(
             hash_join(
-                left, right, "k", right_on="rk", how="full", num_buckets=8
+                left, right, "k", right_on="rk", how="full"
             ).take_all()
         )
         if base is None:
@@ -266,7 +263,6 @@ def test_hash_join_property_matches_replay(ray_session, lkeys, rkeys, how_ix):
         ray.data.from_items(rrows),
         "k",
         how=how,
-        num_buckets=4,
     ).take_all()
     exp = _replay(lrows, rrows, ["k"], ["k"], how, ["k", "lv"], ["k", "rv"])
     assert _norm(got) == _norm(exp)
@@ -287,7 +283,7 @@ def test_hash_join_unsupported_key_type_raises(ray_session):
 def test_hash_join_bloom_prune_equals_unpruned(ray_session, side, how):
     left, right = _datasets()
     plain = hash_join(
-        left, right, "k", right_on="rk", how=how, num_buckets=8
+        left, right, "k", right_on="rk", how=how
     ).take_all()
     pruned = hash_join(
         left,
@@ -295,7 +291,6 @@ def test_hash_join_bloom_prune_equals_unpruned(ray_session, side, how):
         "k",
         right_on="rk",
         how=how,
-        num_buckets=8,
         bloom_prune=side,
         bloom_bits=1 << 16,
     ).take_all()
@@ -339,7 +334,7 @@ def test_hash_join_bloom_actually_prunes(ray_session):
 def test_hash_join_broadcast_path_equals_bucketed(ray_session, how):
     left, right = _datasets()
     bucketed = hash_join(
-        left, right, "k", right_on="rk", how=how, num_buckets=8
+        left, right, "k", right_on="rk", how=how
     ).take_all()
     bcast = hash_join(
         left, right, "k", right_on="rk", how=how, path="broadcast"
@@ -371,17 +366,6 @@ def test_hash_join_broadcast_empty_right(ray_session):
     assert _norm(got) == _norm(exp)
 
 
-def test_hash_join_native_path_equals_bucketed(ray_session):
-    left, right = _datasets()
-    bucketed = hash_join(
-        left, right, "k", right_on="rk", how="inner", num_buckets=8
-    ).take_all()
-    native = hash_join(
-        left, right, "k", right_on="rk", how="inner", num_buckets=4, path="native"
-    ).take_all()
-    assert _norm(native) == _norm(bucketed)
-
-
 @pytest.mark.parametrize("how", ["inner", "left", "full", "semi", "anti"])
 def test_hash_join_nested_payload(ray_session, how):
     """Acero rejects nested non-key fields; the indexed fallback joins
@@ -398,12 +382,12 @@ def test_hash_join_nested_payload(ray_session, how):
     rrows = [{"k": 1, "w": 10}, {"k": 3, "w": 30}, {"k": None, "w": 0}]
     left = ray.data.from_items(lrows)
     right = ray.data.from_items(rrows)
-    got = hash_join(left, right, "k", how=how, num_buckets=4).take_all()
+    got = hash_join(left, right, "k", how=how).take_all()
 
     flat_left = ray.data.from_items(
         [{**r, "vec": str(r["vec"])} for r in lrows]
     )
-    exp = hash_join(flat_left, right, "k", how=how, num_buckets=4).take_all()
+    exp = hash_join(flat_left, right, "k", how=how).take_all()
     def norm(rows):
         return sorted(
             ((r["k"], str(r.get("vec")), r.get("w")) for r in rows), key=str
@@ -417,6 +401,6 @@ def test_hash_join_auto_salt_small_phi(ray_session):
     phi (k > 1/phi), so it runs instead of tripping the recall bound."""
     left = ray.data.from_items([{"k": i % 50, "lv": i} for i in range(3000)])
     right = ray.data.from_items([{"k": i, "w": i} for i in range(50)])
-    got = hash_join(left, right, "k", how="inner", num_buckets=8,
+    got = hash_join(left, right, "k", how="inner",
                     auto_salt=0.0005).take_all()
     assert len(got) == 3000

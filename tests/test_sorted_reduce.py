@@ -6,8 +6,10 @@ seven blocks, and seven blocks with a 4 KiB ``target_max_block_size``
 set on the input Dataset's own context — and its output must be
 byte-identical after a canonical sort. Where a direct SQL statement of
 the rule exists (``dedup_triples``, ``exact_dedup``, evalx per-class
-counts) the output is also checked against DuckDB. Zero-row and
-null-key inputs ride the same harness.
+counts, the temporal joins, ``hash_join``, ``grouped_topk``,
+``salted_group_sum``, ``top_customers_per_segment``) the output is also
+checked against DuckDB, elsewhere against a pure-Python replay.
+Zero-row and null-key inputs ride the same harness.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import pytest
 import ray
 
 from jamie_ray import evalx
-from jamie_ray.functions import dedup_docs, graph, index, sketch
+from jamie_ray.functions import (
+    bpe, dedup_docs, graph, index, join, lm, sampling, similarity, sketch, skew, temporal, urlnorm,
+)
 from jamie_ray.shuffle import run_bounds, sorted_reduce
 from jamie_ray.stages.dedup import dedup_triples
 from jamie_ray.stages.link import link_triples
@@ -479,13 +483,358 @@ def test_inverted_index_cap_totals_layout_invariant(ray_session):
     assert totals == [{"inverted_index_truncated_postings": want}] * 3
 
 
+# -- the sites that moved off groupby().map_groups ---------------------------
+
+_T0 = 1_704_067_200_000_000  # 2024-01-01T00:00 in microseconds
+
+
+def _events(n: int = 300, seed: int = 9, null_keys: bool = True) -> pa.Table:
+    """Events keyed by a string ``user_id`` (every third null when
+    ``null_keys``), whole-minute timestamps over six hours (ts ties),
+    a unique ``event_id`` and a small ``value`` (value ties)."""
+    rng = np.random.default_rng(seed)
+    keys = [f"u{i}" for i in rng.integers(0, 9, n)]
+    if null_keys:
+        keys = [None if i % 3 == 0 else k for i, k in enumerate(keys)]
+    return pa.table(
+        {
+            "event_id": pa.array(rng.permutation(n), pa.int64()),
+            "user_id": pa.array(keys, pa.string()),
+            "ts": pa.array(_T0 + rng.integers(0, 360, n) * 60_000_000, pa.timestamp("us")),
+            "value": pa.array(rng.integers(0, 20, n), pa.int64()),
+        }
+    )
+
+
+def _orders(n: int = 120, seed: int = 10, null_keys: bool = True) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    keys = [f"u{i}" for i in rng.integers(0, 9, n)]
+    if null_keys:
+        keys = [None if i % 4 == 0 else k for i, k in enumerate(keys)]
+    return pa.table(
+        {
+            "o_custkey": pa.array(keys, pa.string()),
+            "o_orderkey": pa.array(rng.permutation(n) * 10, pa.int64()),
+            "o_orderdate": pa.array(
+                _T0 + rng.integers(0, 360, n) * 60_000_000, pa.timestamp("us")
+            ),
+        }
+    )
+
+
+def _duckdb(sql: str, **tables: pa.Table) -> list[tuple]:
+    con = duckdb.connect()
+    for name, tbl in tables.items():
+        con.register(name, tbl)
+    rows = con.execute(sql).fetchall()
+    con.close()
+    return rows
+
+
+def _sessions_oracle(t: pa.Table, gap_us: int) -> dict:
+    rows = sorted(
+        zip(
+            t.column("user_id").to_pylist(),
+            t.column("ts").cast(pa.int64()).to_pylist(),
+            t.column("event_id").to_pylist(),
+        ),
+        key=lambda r: (r[0] is None, r[0] or "", r[1], r[2]),
+    )
+    out, prev = {}, None
+    for key, ts, eid in rows:
+        if prev is None or prev[0] != key:
+            session = 0
+        elif ts - prev[1] > gap_us:
+            session += 1
+        out[eid] = session
+        prev = (key, ts)
+    return out
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_sessionize_layouts_vs_oracle(ray_session, null_keys):
+    t = _events(null_keys=null_keys)
+    out = _same_on_every_layout(lambda ds: temporal.sessionize(ds, gap_minutes=30), t)
+    got = dict(zip(out.column("event_id").to_pylist(), out.column("session_id").to_pylist()))
+    assert got == _sessions_oracle(t, 30 * 60 * 1_000_000)
+    assert max(got.values()) > 0  # some key does split into sessions
+
+
+_ASOF_SQL = """
+SELECT event_id, o_orderkey FROM (
+  SELECT e.event_id, o.o_orderkey, row_number() OVER (
+    PARTITION BY e.event_id ORDER BY o.o_orderdate DESC, o.o_orderkey DESC) AS rn
+  FROM ev e JOIN od o
+    ON o.o_custkey IS NOT DISTINCT FROM e.user_id AND o.o_orderdate <= e.ts
+) WHERE rn = 1
+"""
+
+_RANGE_SQL = """
+SELECT e.event_id, o.o_orderkey FROM ev e JOIN od o
+  ON o.o_custkey IS NOT DISTINCT FROM e.user_id
+ AND o.o_orderdate >= e.ts - INTERVAL 30 MINUTE AND o.o_orderdate <= e.ts
+"""
+
+_TEMPORAL_KW = dict(
+    left_key="user_id", right_key="o_custkey", left_ts="ts",
+    right_ts="o_orderdate", right_cols=["o_orderkey", "o_orderdate"],
+)
+
+_TEMPORAL_OPS = {
+    "asof": (lambda e, o: temporal.asof_join(e, o, **_TEMPORAL_KW), _ASOF_SQL),
+    "asof_salted": (
+        lambda e, o: temporal.asof_join(e, o, bucket_seconds=3600.0, **_TEMPORAL_KW),
+        _ASOF_SQL,
+    ),
+    "range": (
+        lambda e, o: temporal.range_join(
+            e, o, lower_seconds=-1800.0, upper_seconds=0.0, **_TEMPORAL_KW
+        ),
+        _RANGE_SQL,
+    ),
+    "range_salted": (
+        lambda e, o: temporal.range_join(
+            e, o, lower_seconds=-1800.0, upper_seconds=0.0, bucket_seconds=1800.0,
+            **_TEMPORAL_KW,
+        ),
+        _RANGE_SQL,
+    ),
+}
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+@pytest.mark.parametrize("op", sorted(_TEMPORAL_OPS))
+def test_temporal_join_layouts_vs_duckdb(ray_session, op, null_keys):
+    """Null keys form one key, as in ``GROUP BY`` (the oracle's
+    ``IS NOT DISTINCT FROM``)."""
+    run, sql = _TEMPORAL_OPS[op]
+    ev, od = _events(null_keys=null_keys), _orders(null_keys=null_keys)
+    out = _same_on_every_layout(run, ev, od)
+    got = sorted(zip(out.column("event_id").to_pylist(), out.column("o_orderkey").to_pylist()))
+    want = sorted(_duckdb(sql, ev=ev, od=od))
+    assert got == want and len(got) > 0
+
+
+_STRING_KEYED_OPS = {
+    "sessionize": lambda e, o: temporal.sessionize(e),
+    "asof_join": _TEMPORAL_OPS["asof"][0],
+    "range_join": _TEMPORAL_OPS["range"][0],
+    "grouped_topk": lambda e, o: skew.grouped_topk(e, "user_id", "value", 3, id_col="event_id"),
+    "group_sample": lambda e, o: sampling.group_sample(e, 4, "user_id", id_col="event_id"),
+    "salted_group_sum": lambda e, o: skew.salted_group_sum(e, "user_id", ["value"], n_salts=4),
+    "hash_join": lambda e, o: join.hash_join(e, o, "user_id", right_on="o_custkey", how="left"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_STRING_KEYED_OPS))
+def test_string_keyed_operator_zero_rows(ray_session, op):
+    ev, od = _empty_like(_events()), _empty_like(_orders())
+    assert _same_on_every_layout(_STRING_KEYED_OPS[op], ev, od) is None
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_grouped_topk_layouts_vs_duckdb(ray_session, null_keys):
+    t = _events(null_keys=null_keys)
+    out = _same_on_every_layout(lambda e: _STRING_KEYED_OPS["grouped_topk"](e, None), t)
+    want = _duckdb(
+        "SELECT event_id FROM (SELECT *, row_number() OVER (PARTITION BY user_id "
+        "ORDER BY value DESC, event_id) AS rn FROM t) WHERE rn <= 3",
+        t=t,
+    )
+    assert sorted(out.column("event_id").to_pylist()) == sorted(r[0] for r in want)
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_group_sample_layouts_vs_oracle(ray_session, null_keys):
+    from jamie_ray.hashing import stable_hash64
+
+    t = _events(null_keys=null_keys)
+    out = _same_on_every_layout(lambda e: _STRING_KEYED_OPS["group_sample"](e, None), t)
+    u = sampling._id_uniform(t.column("event_id"), stable_hash64("group_sample", "") & 0xFFFFFFFF)
+    by_key: dict = {}
+    for key, eid, ui in zip(t.column("user_id").to_pylist(), t.column("event_id").to_pylist(), u):
+        by_key.setdefault(key, []).append((ui, eid))
+    want = sorted(eid for v in by_key.values() for _, eid in sorted(v)[:4])
+    assert sorted(out.column("event_id").to_pylist()) == want
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_salted_group_sum_layouts_vs_duckdb(ray_session, null_keys):
+    t = _events(null_keys=null_keys)
+    out = _same_on_every_layout(lambda e: _STRING_KEYED_OPS["salted_group_sum"](e, None), t)
+    got = sorted(out.to_pylist(), key=lambda r: (r["user_id"] is None, r["user_id"] or ""))
+    want = _duckdb(
+        "SELECT user_id, sum(value)::BIGINT, count(*) FROM t GROUP BY user_id "
+        "ORDER BY user_id NULLS LAST",
+        t=t,
+    )
+    assert [(r["user_id"], r["value_sum"], r["n"]) for r in got] == want
+
+
+_JOIN_SQL = {
+    "inner": "SELECT e.event_id, o.o_orderkey FROM ev e JOIN od o ON e.user_id = o.o_custkey",
+    "left": "SELECT e.event_id, o.o_orderkey FROM ev e LEFT JOIN od o ON e.user_id = o.o_custkey",
+    "semi": "SELECT e.event_id, NULL FROM ev e SEMI JOIN od o ON e.user_id = o.o_custkey",
+    "anti": "SELECT e.event_id, NULL FROM ev e ANTI JOIN od o ON e.user_id = o.o_custkey",
+}
+
+
+@pytest.mark.parametrize("how", sorted(_JOIN_SQL))
+def test_hash_join_salted_layouts_vs_duckdb(ray_session, how):
+    """Plain, ``hot_keys`` and ``auto_salt`` joins give the SQL rows on
+    every layout (null keys never match)."""
+    ev, od = _events(), _orders()
+    want = sorted(_duckdb(_JOIN_SQL[how], ev=ev, od=od), key=str)
+    for kw in ({}, {"hot_keys": {"u1": 3, "u4": 2}}, {"auto_salt": True}):
+        out = _same_on_every_layout(
+            lambda e, o: join.hash_join(e, o, "user_id", right_on="o_custkey", how=how, **kw),
+            ev, od,
+        )
+        orderkeys = (
+            out.column("o_orderkey").to_pylist()
+            if "o_orderkey" in out.column_names
+            else [None] * out.num_rows
+        )
+        got = sorted(zip(out.column("event_id").to_pylist(), orderkeys), key=str)
+        assert got == want, kw
+
+
+def _relational_layouts(monkeypatch, tbl: pa.Table, query) -> pa.Table | None:
+    from jamie_ray.pipelines import relational
+
+    def run(ds):
+        monkeypatch.setattr(relational, "_read", lambda sf_dir, name, columns=None: ds)
+        return query(relational)("unused")
+
+    return _same_on_every_layout(run, tbl)
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_distinct_event_types_layouts(ray_session, monkeypatch, empty):
+    types = [None if i % 5 == 0 else f"t{i % 7}" for i in range(200)]
+    t = pa.table({"event_type": pa.array(types, pa.string())})
+    if empty:
+        t = _empty_like(t)
+    out = _relational_layouts(monkeypatch, t, lambda r: r.distinct_event_types)
+    got = [] if out is None else out.column("event_type").to_pylist()
+    assert sorted(got, key=str) == sorted(set(t.column("event_type").to_pylist()), key=str)
+
+
+def test_top_customers_per_segment_layouts_vs_duckdb(ray_session, monkeypatch):
+    rng = np.random.default_rng(12)
+    t = pa.table(
+        {
+            "c_custkey": pa.array(rng.permutation(300), pa.int64()),
+            "c_mktsegment": pa.array([f"s{i}" for i in rng.integers(0, 5, 300)]),
+            "c_acctbal": pa.array(rng.integers(0, 40, 300) / 4.0, pa.float64()),
+        }
+    )
+    out = _relational_layouts(monkeypatch, t, lambda r: r.top_customers_per_segment)
+    want = _duckdb(
+        "SELECT c_custkey FROM (SELECT *, row_number() OVER (PARTITION BY c_mktsegment "
+        "ORDER BY c_acctbal DESC, c_custkey) AS rn FROM t) WHERE rn <= 3",
+        t=t,
+    )
+    assert sorted(out.column("c_custkey").to_pylist()) == sorted(r[0] for r in want)
+
+
+def test_url_dedup_layouts_vs_oracle(ray_session):
+    hosts = ["a.example", "www.a.example", "B.example", "c.example"]
+    urls = [
+        None if i % 9 == 0 else f"https://{hosts[i % 4]}/p{i % 6}?utm_source=x#frag{i}"
+        for i in range(120)
+    ]
+    t = pa.table({"doc_id": pa.array(range(120), pa.int64()), "url": pa.array(urls)})
+    out = _same_on_every_layout(urlnorm.url_dedup, t)
+    want: dict = {}
+    for d, u in zip(range(120), urls):
+        c = urlnorm.canonicalize_url(u)
+        if c is not None:
+            lo, n = want.get(c, (d, 0))
+            want[c] = (min(lo, d), n + 1)
+    cols = (out.column(k).to_pylist() for k in ("canonical_url", "doc_id", "n_dups"))
+    got = {c: (d, n) for c, d, n in zip(*cols)}
+    assert got == want
+
+
+def _embeddings(n: int = 60, seed: int = 13) -> pa.Table:
+    """Near-copies of a few base vectors, so LSH buckets and clusters
+    hold verified pairs."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(6, 8))
+    vecs = base[rng.integers(0, 6, n)] + rng.normal(scale=0.02, size=(n, 8))
+    return pa.table(
+        {
+            "vec_id": pa.array(range(n), pa.int64()),
+            "embedding": pa.array(vecs.tolist(), pa.list_(pa.float64())),
+        }
+    )
+
+
+@pytest.mark.parametrize("op", ["embedding_near_dup", "semantic_dedup"])
+def test_similarity_verify_layout_invariant(ray_session, op):
+    run = {
+        "embedding_near_dup": lambda ds: similarity.embedding_near_dup(ds, 0.99, n_planes=4),
+        "semantic_dedup": lambda ds: similarity.semantic_dedup(ds, 0.99, n_centroids=4),
+    }[op]
+    out = _same_on_every_layout(run, _embeddings())
+    assert out.num_rows > 0
+
+
+def _summed(rows: list[dict], key, summary) -> tuple[dict, int]:
+    """(key -> n of the data rows, sum of n over the summary rows)."""
+    data = {key(r): r["n"] for r in rows if not summary(r)}
+    return data, sum(r["n"] for r in rows if summary(r))
+
+
+@pytest.mark.parametrize("min_freq", [1, 9])
+def test_word_counts_layouts_vs_oracle(ray_session, min_freq):
+    from collections import Counter
+
+    from jamie_ray.functions.text_analysis import ws_tokens
+
+    docs = _docs()
+    c = Counter(w for t in docs.column("text").to_pylist() for w in ws_tokens(t))
+    kept = {w: n for w, n in c.items() if n >= min_freq}
+    want = (kept, sum(n for n in c.values() if n < min_freq))
+    for lay in LAYOUTS:
+        rows = bpe.word_counts(_layout(docs, lay), min_freq=min_freq).take_all()
+        assert _summed(rows, lambda r: r["word"], lambda r: r["word"] is None) == want, lay
+    assert want[1] > 0 or min_freq == 1
+
+
+@pytest.mark.parametrize("min_freq", [1, 3])
+def test_ngram_counts_layouts_vs_oracle(ray_session, min_freq):
+    from collections import Counter
+
+    from jamie_ray.functions.text_analysis import ws_tokens
+
+    docs = _docs()
+    c: Counter = Counter()
+    for t in docs.column("text").to_pylist():
+        toks = ws_tokens(t)
+        c.update((1, w) for w in toks)
+        c.update((2, a + " " + b) for a, b in zip(toks, toks[1:]))
+    uni = [n for (o, _), n in c.items() if o == 1]
+    want_grams = {k: n for k, n in c.items() if n >= min_freq}
+    for lay in LAYOUTS:
+        rows = lm.ngram_counts(_layout(docs, lay), min_freq=min_freq).take_all()
+        grams = {(r["order"], r["gram"]): r["n"] for r in rows if r["order"]}
+        totals: dict = {}
+        for r in rows:
+            if not r["order"]:
+                totals[r["gram"]] = totals.get(r["gram"], 0) + r["n"]
+        assert grams == want_grams, lay
+        assert totals == {"__total__": sum(uni), "__types__": len(uni)}, lay
+
+
 # -- structural guard --------------------------------------------------------
 
 
 def test_no_per_group_dispatch_in_ported_modules():
-    """``jamie_ray.runs`` is gone, no ``.map_groups(`` call is left in
-    the modules that reduce through ``sorted_reduce``, and no public
-    ``n_buckets`` dispatch knob came back."""
+    """``jamie_ray.runs`` is gone, no ``.map_groups(`` call is left
+    anywhere in ``jamie_ray/``, and no public ``n_buckets`` /
+    ``num_buckets`` dispatch knob came back."""
     import ast
     import importlib.util
     import inspect
@@ -496,16 +845,9 @@ def test_no_per_group_dispatch_in_ported_modules():
 
     assert importlib.util.find_spec("jamie_ray.runs") is None
     root = pathlib.Path(jamie_ray.__file__).parent
-    files = sorted((root / "stages").glob("*.py")) + [
-        root / "evalx.py",
-        root / "functions" / "dedup_docs.py",
-        root / "functions" / "graph.py",
-        root / "functions" / "index.py",
-        root / "functions" / "sketch.py",
-    ]
     offenders = [
         f"{path.relative_to(root)}:{node.lineno}"
-        for path in files
+        for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
@@ -516,6 +858,9 @@ def test_no_per_group_dispatch_in_ported_modules():
         dedup_triples, evaluate_datasets, dedup_docs.exact_dedup,
         dedup_docs.incremental_dedup, dedup_docs.paragraph_dedup,
         dedup_docs.span_dedup, dedup_docs.simhash_pairs, graph.component_pairs,
-        graph.connected_components, graph.assign_components,
+        graph.connected_components, graph.assign_components, bpe.word_counts,
+        bpe.train_bpe, lm.ngram_counts, sampling.group_sample, skew.grouped_topk,
     ]
     assert [f.__name__ for f in fns if "n_buckets" in inspect.signature(f).parameters] == []
+    params = inspect.signature(join.hash_join).parameters
+    assert "num_buckets" not in params
