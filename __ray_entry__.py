@@ -106,30 +106,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def kg_entity_degree(sf_dir: str):
         """Downstream KG analytics: top-20 subjects by out-degree over
         the deduplicated graph (ties by surface)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
+        from jamie_ray.shuffle import group_sum, sorted_reduce
 
         corpus = _kg_dir(sf_dir)
         graph = kg.build_graph(f"{corpus}/pages.parquet")
-
-        def local(batch: pa.Table) -> pa.Table:
-            gb = batch.group_by(["subj"]).aggregate([("subj", "count")])
-            return gb.rename_columns(["subj", "degree"])
-
-        reduced = (
-            graph.map_batches(local, batch_format="pyarrow")
-            .groupby("subj")
-            .sum(["degree"])
+        combined = graph.map_batches(
+            lambda b: group_sum(b, ["subj"], [], None),
+            batch_format="pyarrow",
         )
         return (
-            reduced.map_batches(
-                lambda b: pa.table(
-                    {
-                        "subj": b.column("subj"),
-                        "degree": pc.cast(b.column("sum(degree)"), pa.int64()),
-                    }
+            sorted_reduce(
+                combined,
+                "subj",
+                lambda b: group_sum(b, ["subj"], [], "__n").rename_columns(
+                    ["subj", "degree"]
                 ),
-                batch_format="pyarrow",
             )
             .sort(["degree", "subj"], descending=[True, False])
             .limit(20)

@@ -16,34 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..shuffle import null_codes, run_bounds, sorted_reduce
-
-
-def _sum_by(table: pa.Table, keys: list[str], sums: list[str], count: str | None) -> pa.Table:
-    """``keys`` + ``<c>_sum`` per ``sums`` column + ``__n`` (the row
-    count, or the sum of ``count``) per distinct key tuple, grouped on
-    ``shuffle.null_codes`` so null keys form one group."""
-    codes = {k: null_codes(table.column(k)) for k in keys}
-    n = table.column(count) if count else pa.array(np.ones(table.num_rows, np.int64))
-    work = pa.table(
-        {
-            **{k: c.indices for k, c in codes.items()},
-            **{c: table.column(c) for c in sums},
-            "__n": n,
-        }
-    )
-    gb = work.group_by(keys, use_threads=False).aggregate(
-        [(c, "sum") for c in sums] + [("__n", "sum")]
-    )
-    # select by the documented <col>_<agg> names — pyarrow's output
-    # column ORDER is an implementation detail (CLAUDE.md rule)
-    cols = {k: codes[k].dictionary.take(gb.column(k)) for k in keys}
-    for c in sums:
-        cols[c] = gb.column(f"{c}_sum")
-    cols["__n"] = gb.column("__n_sum")
-    return pa.table(cols)
+from ..shuffle import group_sum, run_bounds, sorted_reduce
 
 
 def salted_group_sum(
@@ -70,17 +44,17 @@ def salted_group_sum(
         salts = np.arange(batch.num_rows, dtype=np.int64) % n_salts
         t = batch.select([key, *sum_cols]).rename_columns([key, *sums])
         t = t.append_column("__salt", pa.array(salts))
-        return _sum_by(t, [key, "__salt"], sums, None)
+        return group_sum(t, [key, "__salt"], sums, None)
 
     stage1 = sorted_reduce(
         ds.map_batches(local, batch_format="pyarrow"),
         [key, "__salt"],
-        lambda b: _sum_by(b, [key, "__salt"], sums, "__n").drop_columns(["__salt"]),
+        lambda b: group_sum(b, [key, "__salt"], sums, "__n").drop_columns(["__salt"]),
     )
     return sorted_reduce(
         stage1,
         key,
-        lambda b: _sum_by(b, [key], sums, "__n").rename_columns([key, *sums, count_as]),
+        lambda b: group_sum(b, [key], sums, "__n").rename_columns([key, *sums, count_as]),
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..shuffle import per_run, run_bounds, sorted_reduce
+from ..shuffle import group_sum, per_run, run_bounds, sorted_reduce
 
 
 def _us_col(col) -> np.ndarray:
@@ -86,6 +86,11 @@ def asof_join(
     semantics; inner — left rows with no match are dropped). Ties on
     ``right_ts`` resolve to the greatest value of the first attached
     column — deterministic and mirrored in the oracle.
+
+    A null left key matches null right keys (SQL ``IS NOT DISTINCT
+    FROM``), unlike :func:`join.hash_join`, where a null key matches
+    nothing; ``test_temporal_join_layouts_vs_duckdb`` in
+    ``tests/test_sorted_reduce.py`` pins this.
 
     ``bucket_seconds`` (hot-key salting, SURVEY §4): when set, the
     shuffle key becomes (key, time_bucket). A left whose bucket holds
@@ -307,28 +312,22 @@ def hopping_window_agg(
     A tumbling window is the ``size == hop`` special case
     (``events_hourly`` in the relational suite); here each event lands
     in ``size/hop`` windows via a vectorized integer expansion, the
-    per-batch combiner pre-aggregates, and ONE groupby-sum shuffle
-    reduces (the §2.8 windowed-aggregate shape).
+    per-batch combiner pre-aggregates, and ONE sorted whole-key reduce
+    (``shuffle.sorted_reduce``) sums the partials (the §2.8
+    windowed-aggregate shape). Null group keys form one group, as in
+    SQL ``GROUP BY``.
 
     Integer microsecond window math and scaled-integer value sums keep
     the result bit-identical to the DuckDB oracle regardless of
     summation order.
     """
-    import pyarrow.compute as _pc
-
     group_cols = group_cols or []
+    keys = ["window_us", *group_cols]
+    sums = ["val_s"] if value_col else []
     h_us = int(round(hop_seconds * 1e6))
     s_us = int(round(size_seconds * 1e6))
 
     def expand(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            cols = {"window_us": pa.array([], pa.int64())}
-            for g in group_cols:
-                cols[g] = batch.column(g)
-            cols["n"] = pa.array([], pa.int64())
-            if value_col:
-                cols["val_s"] = pa.array([], pa.int64())
-            return pa.table(cols)
         # _us_col, not a raw int64->timestamp cast: a NUMERIC ts column
         # is epoch seconds by module convention, and the raw cast would
         # silently reinterpret those seconds as microseconds
@@ -338,19 +337,18 @@ def hopping_window_agg(
         reps = (k_max - k_min + 1).astype(np.int64)
         row_idx = np.repeat(np.arange(len(t_us), dtype=np.int64), reps)
         offs = np.arange(len(row_idx), dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(reps)[:-1])), reps
+            np.cumsum(reps) - reps, reps
         )
-        window_us = (k_min[row_idx] + offs) * h_us
-        expanded = {"window_us": pa.array(window_us, pa.int64())}
-        idx = pa.array(row_idx)
+        idx = pa.array(row_idx, pa.int64())
+        expanded = {"window_us": pa.array((k_min[row_idx] + offs) * h_us, pa.int64())}
         for g in group_cols:
-            expanded[g] = _pc.take(batch.column(g).combine_chunks(), idx)
+            expanded[g] = batch.column(g).take(idx)
         if value_col:
-            scaled = _pc.cast(
-                _pc.floor(
-                    _pc.add(
-                        _pc.multiply(
-                            _pc.cast(batch.column(value_col), pa.float64()),
+            scaled = pc.cast(
+                pc.floor(
+                    pc.add(
+                        pc.multiply(
+                            pc.cast(batch.column(value_col), pa.float64()),
                             pa.scalar(value_scale),
                         ),
                         pa.scalar(0.5),
@@ -358,32 +356,26 @@ def hopping_window_agg(
                 ),
                 pa.int64(),
             )
-            expanded["val_s"] = _pc.take(scaled.combine_chunks() if isinstance(scaled, pa.ChunkedArray) else scaled, idx)
-        t = pa.table(expanded)
-        # combiner: collapse within the batch before the shuffle;
-        # rename by NAME, not position (pyarrow output order is an
-        # implementation detail)
-        aggs = [("window_us", "count")] + ([("val_s", "sum")] if value_col else [])
-        gb = t.group_by(["window_us"] + group_cols).aggregate(aggs)
-        strip = {"window_us_count": "n", "val_s_sum": "val_s"}
-        return gb.rename_columns([strip.get(c, c) for c in gb.column_names])
+            expanded["val_s"] = scaled.take(idx)
+        # combiner: collapse within the batch before the shuffle
+        return group_sum(pa.table(expanded), keys, sums, None)
 
-    reduced = (
-        events.map_batches(expand, batch_format="pyarrow")
-        .groupby(["window_us"] + group_cols)
-        .sum(["n"] + (["val_s"] if value_col else []))
+    reduced = sorted_reduce(
+        events.map_batches(expand, batch_format="pyarrow"),
+        keys,
+        lambda b: group_sum(b, keys, sums, "__n"),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
         cols = {
-            "window_start": _pc.cast(batch.column("window_us"), pa.timestamp("us")),
+            "window_start": pc.cast(batch.column("window_us"), pa.timestamp("us")),
         }
         for g in group_cols:
             cols[g] = batch.column(g)
-        cols["n"] = batch.column("sum(n)")
+        cols["n"] = batch.column("__n")
         if value_col:
-            cols["sum_value"] = _pc.divide(
-                _pc.cast(batch.column("sum(val_s)"), pa.float64()),
+            cols["sum_value"] = pc.divide(
+                pc.cast(batch.column("val_s"), pa.float64()),
                 pa.scalar(value_scale),
             )
         return pa.table(cols)
@@ -409,7 +401,8 @@ def range_join(
 
     Same physical shape as :func:`asof_join` (one sorted shuffle on the
     key, vectorized per-key window scan via searchsorted); emits one
-    row per qualifying pair (inner join).
+    row per qualifying pair (inner join). Null keys match null keys
+    (``IS NOT DISTINCT FROM``), as in :func:`asof_join`.
 
     ``bucket_seconds`` (hot-key salting, SURVEY §4): when set, the
     shuffle key becomes (key, time_bucket) — a hot key's rows spread

@@ -31,7 +31,7 @@ from ..functions.text_analysis import (
     quality_score_batch,
     token_count_batch,
 )
-from ..shuffle import run_bounds, sorted_reduce
+from ..shuffle import group_sum, run_bounds, sorted_reduce
 
 
 def _read(sf_dir: str, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -47,13 +47,6 @@ def _broadcast_array(ref) -> pa.Array:
     return cached_get(ref, "relational_broadcast")
 
 
-def _rename(ds: ray.data.Dataset, mapping: dict[str, str]) -> ray.data.Dataset:
-    return ds.map_batches(
-        lambda b: b.rename_columns([mapping.get(c, c) for c in b.column_names]),
-        batch_format="pyarrow",
-    )
-
-
 def _scaled_int(col, scale: float):
     """floor(x*scale + 0.5) as int64 — the exact-sum trick: money/metric
     doubles become integers so distributed summation is order-independent
@@ -65,27 +58,23 @@ def _scaled_int(col, scale: float):
 
 
 def _partial_groupby_sum(
-    ds: ray.data.Dataset, keys: list[str], sum_cols: list[str], count_as: str | None
+    ds: ray.data.Dataset, keys: list[str], sum_cols: list[str], count_as: str
 ) -> ray.data.Dataset:
-    """Block-local combine + global groupby-sum (the combiner pattern)."""
+    """Block-local combine + one sorted whole-key reduce (the combiner
+    pattern); null keys form one group, as in SQL ``GROUP BY``."""
+    sums = [f"{c}_sum" for c in sum_cols]
 
     def local(batch: pa.Table) -> pa.Table:
-        aggs = [(c, "sum") for c in sum_cols]
-        gb = batch.group_by(keys).aggregate(aggs + [(keys[0], "count")])
-        names = keys + [f"{c}_sum" for c in sum_cols] + ["__n"]
-        # pyarrow names output "<col>_sum"/"<col>_count" and orders
-        # aggregate cols after key cols
-        gb = gb.select([f"{c}_sum" for c in sum_cols] + [f"{keys[0]}_count"] + keys)
-        return gb.rename_columns([f"{c}_sum" for c in sum_cols] + ["__n"] + keys).select(names)
+        t = batch.select([*keys, *sum_cols]).rename_columns([*keys, *sums])
+        return group_sum(t, keys, sums, None)
 
-    combined = ds.map_batches(local, batch_format="pyarrow")
-    reduced = combined.groupby(keys).sum([f"{c}_sum" for c in sum_cols] + ["__n"])
-    mapping = {f"sum({c}_sum)": f"{c}_sum" for c in sum_cols}
-    mapping["sum(__n)"] = count_as or "__n"
-    out = _rename(reduced, mapping)
-    if count_as is None:
-        out = out.drop_columns(["__n"])
-    return out
+    return sorted_reduce(
+        ds.map_batches(local, batch_format="pyarrow"),
+        keys,
+        lambda b: group_sum(b, keys, sums, "__n").rename_columns(
+            [*keys, *sums, count_as]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

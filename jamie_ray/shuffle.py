@@ -92,6 +92,35 @@ def null_codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
     return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
 
 
+def group_sum(
+    table: pa.Table, keys: list[str], sums: list[str], count: str | None
+) -> pa.Table:
+    """``keys``, the sum of each ``sums`` column (same name) and ``__n``
+    (the row count, or the sum of column ``count``) per distinct key
+    tuple, grouped on :func:`null_codes` so null keys form one group.
+    Used both as a block combiner (``count=None``) and as the
+    ``sorted_reduce`` reducer over combined rows (``count="__n"``)."""
+    codes = {k: null_codes(table.column(k)) for k in keys}
+    n = table.column(count) if count else pa.array(np.ones(table.num_rows, np.int64))
+    work = pa.table(
+        {
+            **{k: c.indices for k, c in codes.items()},
+            **{c: table.column(c) for c in sums},
+            "__n": n,
+        }
+    )
+    gb = work.group_by(keys, use_threads=False).aggregate(
+        [(c, "sum") for c in sums] + [("__n", "sum")]
+    )
+    # select by the documented <col>_<agg> names — pyarrow's output
+    # column ORDER is an implementation detail
+    cols = {k: codes[k].dictionary.take(gb.column(k)) for k in keys}
+    for c in sums:
+        cols[c] = gb.column(f"{c}_sum")
+    cols["__n"] = gb.column("__n_sum")
+    return pa.table(cols)
+
+
 def per_run(
     block: pa.Table, cols: str | list[str], fn: Callable[[pa.Table], pa.Table]
 ) -> pa.Table:

@@ -1,7 +1,12 @@
 """Idempotent side counters: truncations of capped blocking kernels,
 and the per-shard lineage counts of ``pipelines/kg.materialize_graph``
-(``pages``, ``quarantined_pages``, ``chunks``, keyed by a batch
-fingerprint).
+(``pages/<shard>``, ``quarantined_pages/<shard>``, ``chunks/<shard>``,
+keyed by a batch fingerprint).
+
+One counter actor per run, shared by every stage and shard of it: an
+actor is a worker-process start, measured at 0.5–1 s on one core
+(a settled read on a live actor costs ~0.05 s). Counters from several
+sources keep apart by name, not by actor.
 
 The banded candidate generators (minhash near-dup, simhash, embedding
 near-dup, entity-link bands) and the inverted index bound their

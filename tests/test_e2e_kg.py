@@ -469,3 +469,78 @@ def test_quarantine_counters(corpus, tmp_path):
     assert out_tab.column("score_error")[0].as_py().startswith("ValueError")
     assert out_tab.column("tokens")[0].as_py() == []
     scorer.model.predict = orig
+
+
+def _cap_counter_ids() -> set[str]:
+    import ray
+
+    return {
+        actor_id
+        for actor_id, info in ray._private.state.actors().items()
+        if info["ActorClassName"] == "CapCounters"
+    }
+
+
+def test_materialize_starts_one_counter_actor(corpus, tmp_path):
+    """One CapCounters actor per materialize_graph call — each actor is
+    a worker-process start — both for a full 4-shard run and for the
+    resume that follows a kill after the last shard's triples."""
+    _, tables = corpus
+    pages = _split_pages(tables["pages"], tmp_path / "pages_four", 4)
+    before = _cap_counter_ids()
+    kg.materialize_graph(pages, str(tmp_path / "full"), n_shards=4)
+    assert len(_cap_counter_ids() - before) == 1
+
+    out = str(tmp_path / "resumed")
+    with pytest.raises(RuntimeError, match="injected kill"):
+        kg.materialize_graph(pages, out, n_shards=4, _fail_after_checkpoint=3)
+    before = _cap_counter_ids()
+    s = kg.materialize_graph(pages, out, n_shards=4)
+    assert len(_cap_counter_ids() - before) == 1
+    assert s["shards_skipped"] == 3 and s["shards_run"] == 1
+
+
+def test_materialize_lineage_is_per_shard(corpus, tmp_path, monkeypatch):
+    """With one counter actor shared by every shard, each manifest
+    record still counts only its own shard's files: n_pages,
+    n_quarantined_pages and n_chunks equal an independent count over
+    that shard's file, and the summary's truncation counts hold the
+    link's counter only, no shard lineage name."""
+    import jamie_ray.pipelines.kg as kgmod
+    from jamie_ray.state.lineage import read_manifest
+
+    _, tables = corpus
+    pages = tables["pages"]
+    pages_dir = _split_pages(pages, tmp_path / "pages_lineage", 4)
+    real_link = kgmod.link_triples
+
+    def truncating_link(triples, *, cap_counters, **kw):
+        # one hot-band truncation, recorded the way the link kernel
+        # records it, so the summary has a link counter to keep apart
+        # from the lineage ones
+        cap_counters.record.remote("link_truncated_candidates", 7, 5)
+        return real_link(triples, cap_counters=cap_counters, **kw)
+
+    monkeypatch.setattr(kgmod, "link_triples", truncating_link)
+    out = tmp_path / "graph_lineage"
+    s = kg.materialize_graph(pages_dir, str(out), n_shards=4)
+    assert s["n_truncated_candidates"] == {"link_truncated_candidates": 5}
+
+    quarantined = set(tables["expected_quarantine"]["url"].to_pylist())
+    chunks_per_url: dict[str, int] = {}
+    for u in tables["expected_chunks"]["url"].to_pylist():
+        chunks_per_url[u] = chunks_per_url.get(u, 0) + 1
+    step = (pages.num_rows + 3) // 4
+    recs = read_manifest(str(out))
+    assert sorted(recs) == [0, 1, 2, 3]
+    for shard, rec in recs.items():
+        own = pages.slice(shard * step, step)  # shard N reads file N
+        ja = [
+            u for u, lang in zip(own["url"].to_pylist(), own["lang"].to_pylist())
+            if lang == "ja"
+        ]
+        n_q = sum(u in quarantined for u in ja)
+        assert n_q > 0
+        assert rec["n_quarantined_pages"] == n_q, shard
+        assert rec["n_pages"] == len(ja) - n_q, shard
+        assert rec["n_chunks"] == sum(chunks_per_url.get(u, 0) for u in ja), shard

@@ -671,6 +671,32 @@ def test_salted_group_sum_layouts_vs_duckdb(ray_session, null_keys):
     assert [(r["user_id"], r["value_sum"], r["n"]) for r in got] == want
 
 
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_hopping_window_agg_layouts_vs_duckdb(ray_session, null_keys):
+    """Null group keys form one group per window, on every layout."""
+    t = _events(null_keys=null_keys)
+    out = _same_on_every_layout(
+        lambda e: temporal.hopping_window_agg(
+            e, size_seconds=3600.0, hop_seconds=1800.0,
+            value_col="value", group_cols=["user_id"],
+        ),
+        t,
+    )
+    got = list(zip(
+        out.column("window_start").cast(pa.int64()).to_pylist(),
+        out.column("user_id").to_pylist(),
+        out.column("n").to_pylist(),
+        out.column("sum_value").to_pylist(),
+    ))
+    want = _duckdb(
+        "SELECT k * 1800000000, user_id, count(*), sum(value)::DOUBLE FROM ("
+        " SELECT user_id, value, unnest(range((epoch_us(ts) - 3600000000) // 1800000000"
+        " + 1, epoch_us(ts) // 1800000000 + 1)) AS k FROM t) GROUP BY ALL",
+        t=t,
+    )
+    assert sorted(got, key=str) == sorted(want, key=str) and len(got) > 0
+
+
 _JOIN_SQL = {
     "inner": "SELECT e.event_id, o.o_orderkey FROM ev e JOIN od o ON e.user_id = o.o_custkey",
     "left": "SELECT e.event_id, o.o_orderkey FROM ev e LEFT JOIN od o ON e.user_id = o.o_custkey",
@@ -826,6 +852,33 @@ def test_ngram_counts_layouts_vs_oracle(ray_session, min_freq):
                 totals[r["gram"]] = totals.get(r["gram"], 0) + r["n"]
         assert grams == want_grams, lay
         assert totals == {"__total__": sum(uni), "__types__": len(uni)}, lay
+
+
+@pytest.mark.parametrize("null_keys", [False, True])
+def test_events_hourly_layouts_vs_duckdb(ray_session, monkeypatch, null_keys):
+    """The relational combiner + reduce (``_partial_groupby_sum``) over
+    a two-column key whose string half is null in every third row."""
+    ev = _events(null_keys=null_keys)
+    t = pa.table(
+        {
+            "ts": ev.column("ts"),
+            "event_type": ev.column("user_id"),
+            "value": ev.column("value").cast(pa.float64()),
+        }
+    )
+    out = _relational_layouts(monkeypatch, t, lambda r: r.events_hourly)
+    got = list(zip(
+        out.column("hour").to_pylist(),
+        out.column("event_type").to_pylist(),
+        out.column("n").to_pylist(),
+        out.column("sum_value").to_pylist(),
+    ))
+    want = _duckdb(
+        "SELECT date_trunc('hour', ts), event_type, count(*), sum(value) FROM t GROUP BY ALL",
+        t=t,
+    )
+    assert sorted(got, key=str) == sorted(want, key=str) and len(got) > 0
+
 
 
 # -- structural guard --------------------------------------------------------
