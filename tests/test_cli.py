@@ -56,6 +56,46 @@ def cli_surface(parser: argparse.ArgumentParser) -> dict:
     return out
 
 
+def test_cli_surface_matches_recorded():
+    from jamie_ray.__main__ import build_parser
+
+    with open(SURFACE, encoding="utf-8") as f:
+        want = json.load(f)
+    got = json.loads(json.dumps(cli_surface(build_parser())))
+    assert len(want) == 40
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_help_smoke_under_warnings_as_errors():
+    """One interpreter with ``-W error``: the top-level help, then every
+    subcommand's help, each must exit 0 (a parser or import that breaks,
+    or warns, fails here)."""
+    script = (
+        "import sys\n"
+        "from jamie_ray.__main__ import COMMANDS, main\n"
+        "def run(argv):\n"
+        "    try:\n"
+        "        main(argv)\n"
+        "    except SystemExit as e:\n"
+        "        if e.code not in (0, None):\n"
+        "            raise SystemExit(f'{argv} exited {e.code}')\n"
+        "run(['--help'])\n"
+        "for c in COMMANDS:\n"
+        "    run([c.name, '--help'])\n"
+        "print('n_commands', len(COMMANDS), file=sys.stderr)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert "n_commands 40" in r.stderr
+
+
 # -- subcommands no other test runs through main() ---------------------
 
 N_PAGES = 16

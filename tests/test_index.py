@@ -472,3 +472,71 @@ def test_refresh_rejects_bucket_count_drift(ray_session, tmp_path, monkeypatch):
         json.dump(meta, f)
     with pytest.raises(ValueError, match="rebuild the index"):
         idx.refresh_term_index(d, docs)
+
+
+def test_cli_index_refresh_reads_recorded_id_col(ray_session, tmp_path, capsys):
+    """index --refresh reads the id column the build recorded: an index
+    built with --id-col uid refreshes without repeating the flag."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from jamie_ray.__main__ import main
+
+    docs = str(tmp_path / "docs.parquet")
+    pq.write_table(_docs_table().rename_columns(["uid", "text"]), docs)
+    new = str(tmp_path / "new.parquet")
+    pq.write_table(
+        pa.table({"uid": pa.array([10], pa.int64()), "text": ["cat boat"]}), new
+    )
+    idx = str(tmp_path / "idx")
+    main(["index", "--docs", docs, "--out", idx, "--id-col", "uid"])
+    main(["index", "--docs", new, "--out", idx, "--refresh"])
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["command"] == "index" and res["generation"] == 2
+
+    main(["lookup", "--index", idx, "--terms", "cat,boat"])
+    rows = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["rows"]
+    assert {r["term"]: r["postings"] for r in rows} == {
+        "cat": [1, 3, 10],
+        "boat": [10],
+    }
+
+
+def test_cli_ann_build_refresh_reads_recorded_columns(ray_session, tmp_path, capsys):
+    """ann-build --refresh reads the id and vector columns the build
+    recorded, not the --id-col/--vec-col defaults."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from jamie_ray.__main__ import main
+
+    def emb_table(ids, vecs):
+        return pa.table(
+            {
+                "uid": pa.array(ids, pa.int64()),
+                "vec": pa.array(vecs, pa.list_(pa.float64())),
+            }
+        )
+
+    emb = str(tmp_path / "emb.parquet")
+    pq.write_table(
+        emb_table([0, 1, 2, 3], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.0]]),
+        emb,
+    )
+    new = str(tmp_path / "new.parquet")
+    pq.write_table(emb_table([7], [[1.0, 0.0]]), new)
+    idx = str(tmp_path / "annidx")
+    main([
+        "ann-build", "--embeddings", emb, "--out", idx, "--n-centroids", "2",
+        "--id-col", "uid", "--vec-col", "vec",
+    ])
+    main(["ann-build", "--embeddings", new, "--out", idx, "--refresh"])
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["command"] == "ann-build" and res["generation"] == 2
+
+    main(["ann-query", "--index", idx, "--query", "1.0,0.0", "--k", "2",
+          "--n-probe", "1"])
+    rows = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["rows"]
+    assert sorted(r["uid"] for r in rows) == [0, 7]

@@ -156,3 +156,42 @@ def test_export_csv_roundtrip(ray_session, tmp_path):
     got = sorted((int(x["doc_id"]), x["text"]) for x in rows)
     assert got == [(1, "alpha one"), (2, "beta two"), (3, "gamma three")]
     assert all(set(x) == {"doc_id", "text"} for x in rows)  # pruned
+
+
+def _write_jsonl_dir(d, parts):
+    d.mkdir()
+    for i, rows in enumerate(parts):
+        (d / f"part-{i}.jsonl").write_text(
+            "\n".join(json.dumps(r) for r in rows) + "\n"
+        )
+
+
+def test_ingest_auto_format_of_a_directory(ray_session, tmp_path, capsys):
+    """--format auto on a directory picks the format from its files'
+    suffixes: two .jsonl files ingest exactly as with --format jsonl."""
+    src = tmp_path / "jsonl_dir"
+    _write_jsonl_dir(
+        src,
+        [
+            [{"doc_id": 1, "text": "one"}, {"doc_id": 2, "text": "two"}],
+            [{"doc_id": 3, "text": "three"}],
+        ],
+    )
+    auto, forced = str(tmp_path / "auto"), str(tmp_path / "forced")
+    res = _run(capsys, "ingest", "--in", str(src), "--out", auto)
+    assert res["format"] == "jsonl" and res["n_docs"] == 3
+    _run(capsys, "ingest", "--in", str(src), "--out", forced, "--format", "jsonl")
+
+    def rows(p):
+        return sorted(pq.read_table(p).to_pylist(), key=lambda r: r["doc_id"])
+
+    assert rows(auto) == rows(forced)
+    assert [r["text"] for r in rows(auto)] == ["one", "two", "three"]
+
+
+def test_ingest_auto_format_rejects_mixed_directory(ray_session, tmp_path):
+    src = tmp_path / "mixed"
+    _write_jsonl_dir(src, [[{"doc_id": 1, "text": "one"}]])
+    (src / "extra.csv").write_text("doc_id,text\n2,two\n")
+    with pytest.raises(SystemExit, match="--format"):
+        main(["ingest", "--in", str(src), "--out", str(tmp_path / "o")])
