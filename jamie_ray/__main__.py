@@ -467,7 +467,8 @@ def _pii(a):
 def _lineclean(a):
     from .functions.text_analysis import c4_filter_batch, c4_line_clean
 
-    text_col, rules = a.text_col, dict(
+    text_col = a.text_col
+    rules = dict(
         min_words_per_line=a.min_words,
         min_kept_lines=a.min_lines,
         require_terminal_punct=not a.no_terminal_punct,

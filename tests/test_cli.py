@@ -171,7 +171,6 @@ def planted(tmp_path_factory, ray_session):
         "right": right,
         "gold": gold,
         "pred": pred,
-        "root": str(root),
     }
 
 
