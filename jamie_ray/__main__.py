@@ -310,15 +310,14 @@ def _convert(a):
         "(refresh_term_index) instead of building from scratch"),
 )
 def _index(a):
-    from .functions.index import _IDX_META, build_term_index, refresh_term_index
+    from .functions.index import _term_meta, build_term_index, refresh_term_index
 
     if a.refresh:
-        # refresh_term_index reads ids from the column the build
-        # recorded, whatever --id-col says now
-        with open(os.path.join(a.out, _IDX_META), encoding="utf-8") as f:
-            id_col = json.load(f)["id_col"]
-        docs = _read(a.docs, [id_col, a.text_col])
-        return {"out": a.out, **refresh_term_index(a.out, docs, text_col=a.text_col)}
+        # refresh_term_index reads the columns the build recorded,
+        # whatever --id-col/--text-col say now
+        meta = _term_meta(a.out)
+        docs = _read(a.docs, [meta["id_col"], meta["text_col"]])
+        return {"out": a.out, **refresh_term_index(a.out, docs)}
     meta = build_term_index(
         _docs(a), a.out, text_col=a.text_col, id_col=a.id_col, min_df=a.min_df,
         max_postings=a.max_postings,
@@ -739,8 +738,8 @@ def _merge_graphs(a):
     update): union the graph parquet dirs, re-run the provenance
     dedup — its combiner SUMS pre-existing ``n_sources`` and keeps the
     lexicographic-min representative, so counts merge exactly and the
-    result is layout-independent — and finish with the flagship's
-    sorted write (``pipelines/kg.py`` finalize order)."""
+    result is layout-independent; its blocks come out in the
+    flagship's graph order (``pipelines/kg.py`` finalize)."""
     from .stages.dedup import dedup_triples
 
     def graph_dir(g: str) -> str:
@@ -752,7 +751,7 @@ def _merge_graphs(a):
 
     parts = [_read(graph_dir(g), file_extensions=["parquet"]) for g in a.graphs]
     ds = parts[0].union(*parts[1:]) if parts[1:] else parts[0]
-    return dedup_triples(ds).sort(["subj_id", "pred", "obj_id"]), {
+    return dedup_triples(ds), {
         "out": a.out,
         "n_graphs": len(a.graphs),
         "n_triples": ROWS,

@@ -64,7 +64,7 @@ def get_stage(name: str) -> Callable:
 
 def build_graph_with_config(pages_path: str, config: PipelineConfig):
     """Config-driven flagship pipeline: triples -> [extra stages] ->
-    link -> dedup."""
+    link -> dedup, in graph order (as ``kg.build_graph``)."""
     from .pipelines import kg
     from .stages.dedup import dedup_triples
     from .stages.link import link_triples

@@ -661,7 +661,7 @@ def minhash_clusters(
             ids = all_ids[s:e]
             if len(ids) > max_group:
                 if cap_counters is not None:
-                    cap_counters.record.remote(
+                    cap_counters.record(
                         "minhash_truncated_candidates",
                         int(bands[s]),
                         len(ids) - max_group,
@@ -1036,7 +1036,7 @@ def simhash_pairs(
             rows = sorted(set(zip(ids[s:e], sigs[s:e])))
             if len(rows) > max_group:  # deterministic cap on the verify
                 if cap_counters is not None:
-                    cap_counters.record.remote(
+                    cap_counters.record(
                         "simhash_truncated_candidates",
                         int(keys[s]),
                         len(rows) - max_group,

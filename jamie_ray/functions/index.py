@@ -136,7 +136,7 @@ def inverted_index(
         n_post = df if max_postings is None else np.minimum(df, max_postings)
         if cap_counters is not None:
             for s, n in zip(starts[df > n_post], (df - n_post)[df > n_post]):
-                cap_counters.record.remote(
+                cap_counters.record(
                     "inverted_index_truncated_postings",
                     stable_hash64(block.column("term")[int(s)].as_py()),
                     int(n),
@@ -165,6 +165,16 @@ def inverted_index(
 
 
 _IDX_META = "_term_index_meta.json"
+
+
+def _term_meta(index_dir: str) -> dict:
+    """A completed index's meta; an index written before ``text_col``
+    was recorded was built from ``"text"``."""
+    import json
+    import os
+
+    with open(os.path.join(index_dir, _IDX_META)) as f:
+        return {"text_col": "text", **json.load(f)}
 
 
 def build_term_index(
@@ -221,15 +231,14 @@ def build_term_index(
         "min_df": min_df,
         "max_postings": max_postings,
         "id_col": id_col,
+        "text_col": text_col,
     }
     with open(meta_path, "w") as f:
         json.dump(meta, f)
     return meta
 
 
-def refresh_term_index(
-    index_dir: str, new_docs, *, text_col: str = "text", cap_counters=None
-) -> dict:
+def refresh_term_index(index_dir: str, new_docs, *, cap_counters=None) -> dict:
     """Append a new generation of documents to a completed
     :func:`build_term_index` WITHOUT rebuilding (the
     ``refresh_ann_index`` pattern): the new docs' inverted index is
@@ -238,6 +247,8 @@ def refresh_term_index(
     term's postings always land in its existing bucket and
     :func:`lookup_postings` (which merges per-term rows across
     generations) sees both the original build and every refresh.
+    ``new_docs`` are read through the id and text columns the build
+    recorded.
 
     Caveats, stated loudly:
 
@@ -263,8 +274,7 @@ def refresh_term_index(
     import shutil
 
     meta_path = os.path.join(index_dir, _IDX_META)
-    with open(meta_path) as f:
-        meta = json.load(f)
+    meta = _term_meta(index_dir)
     if int(meta["n_buckets"]) != _N_BUCKETS:
         # the on-disk layout is hashed with the RECORDED bucket count;
         # refreshing with a different module constant would write gen
@@ -284,7 +294,7 @@ def refresh_term_index(
 
     idx = inverted_index(
         new_docs,
-        text_col=text_col,
+        text_col=meta["text_col"],
         id_col=meta["id_col"],
         min_df=int(meta["min_df"]),
         # max_postings applies PER GENERATION (like min_df, documented
@@ -326,12 +336,9 @@ def term_probe_partitions(index_dir: str, terms: list[str]) -> list[str]:
     """The bucket partition directories a lookup would read — exposed
     so tests can assert the pruned read touches nothing else. Vacant
     buckets (no directory written) are dropped."""
-    import json
     import os
 
-    with open(os.path.join(index_dir, _IDX_META)) as f:
-        meta = json.load(f)
-    n = int(meta["n_buckets"])
+    n = int(_term_meta(index_dir)["n_buckets"])
     buckets = sorted({stable_hash64(t) & (n - 1) for t in terms})
     dirs = [os.path.join(index_dir, f"bucket={b}") for b in buckets]
     return [d for d in dirs if os.path.isdir(d)]

@@ -298,7 +298,7 @@ def embedding_near_dup(
         order = np.argsort(ids)
         if len(order) > max_group:
             if cap_counters is not None:
-                cap_counters.record.remote(
+                cap_counters.record(
                     "embedding_near_dup_truncated",
                     group.column("bucket")[0].as_py(),
                     len(order) - max_group,
@@ -410,7 +410,7 @@ def semantic_dedup(
         order = np.argsort(ids)
         head = order[:max_group]
         if len(order) > max_group and cap_counters is not None:
-            cap_counters.record.remote(
+            cap_counters.record(
                 "semantic_dedup_truncated", cluster, len(order) - max_group
             )
         mat = _as_matrix(group.column(vec_col))[head]

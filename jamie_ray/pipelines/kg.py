@@ -7,8 +7,9 @@
       -> score (tasks; actor pool opt-in)             # batch-sized
       -> assemble                                     # stateless mb
       -> link (sorted_reduce on band + broadcast map) # shuffle #1
-      -> dedup (combine + sorted_reduce on triple)    # shuffle #2
-      -> sort(subj_id) -> write_parquet + lineage     # shuffle #3
+      -> dedup (combine + sorted_reduce on            # shuffle #2
+         (subj_id, pred, obj_id): blocks in graph order)
+      -> write_parquet + lineage
 
 Everything before ``link`` is a straight-line streaming plan: blocks
 flow with backpressure, nothing materializes the corpus. The driver
@@ -17,8 +18,8 @@ edge list (see ``stages/link.py``).
 
 ``materialize_graph`` cuts this plan at the assemble write: each
 resumable shard stops at its raw triples on disk, and one finalize
-pass runs link -> dedup -> sort over all of them. One side-counter
-actor serves the whole call (``state/caps.py``).
+pass runs link -> dedup over all of them. The call keeps its side
+counts in the session's one counter actor (``state/caps.py``).
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def build_graph(
     use_actors: bool = False,
     link_threshold: float | None = None,
 ) -> ray.data.Dataset:
-    """Full pipeline through linking + dedup (unsorted; see materialize)."""
+    """Full pipeline through linking + dedup, in graph order (sorted on
+    (subj_id, pred, obj_id), as :func:`materialize_graph` writes it)."""
     from ..stages.link import DEFAULT_THRESHOLD
 
     triples = build_triples(
@@ -289,8 +291,8 @@ def materialize_graph(
        input (small-scale fixtures) falls back to a ``hash(url)``
        row filter, which does rescan and is flagged in lineage.
     2. **Finalize — one global pass**: a single ``link_triples`` over
-       every shard file, then dedup + ``sort`` on (subj_id, pred,
-       obj_id) and the write of ``out_dir/graph/``. That is
+       every shard file, then dedup, whose reduce on (subj_id, pred,
+       obj_id) emits graph order, and the write of ``out_dir/graph/``. That is
        :func:`build_graph`'s plan over the same triples, so a link
        chain that crosses shards resolves to one entity and the
        materialized graph equals ``build_graph`` by construction.
@@ -323,129 +325,131 @@ def materialize_graph(
 
     input_files = _input_parquet_files(pages_path)
     by_files = len(input_files) >= n_shards
-    # ONE counter actor per call (an actor is a worker-process start):
-    # the shard taps record lineage under "<name>/<shard>" as side
-    # aggregates of the one shard pipeline, FIRE-AND-FORGET with
-    # idempotency keys (a retried task overwrites its own keys), and
-    # the finalize link records its cap truncations
+    # this call's records in the session's one counter actor (an actor
+    # is a worker-process start): the shard taps record lineage under
+    # "<name>/<shard>" as side aggregates of the one shard pipeline,
+    # FIRE-AND-FORGET with idempotency keys (a retried task overwrites
+    # its own keys), and the finalize link records its cap truncations.
+    # close() drops them however the call ends.
     counters = new_cap_counters()
+    try:
+        for shard in range(n_shards):
+            if shard in done:
+                continue
+            t0 = time.time()
 
-    for shard in range(n_shards):
-        if shard in done:
-            continue
-        t0 = time.time()
+            if by_files:
+                shard_input = [
+                    f for i, f in enumerate(input_files) if i % n_shards == shard
+                ]
+                shard_filter = None
+                fingerprint = f"files[{shard}/{n_shards}]:{len(shard_input)}"
+            else:
+                shard_input = pages_path
 
-        if by_files:
-            shard_input = [
-                f for i, f in enumerate(input_files) if i % n_shards == shard
-            ]
-            shard_filter = None
-            fingerprint = f"files[{shard}/{n_shards}]:{len(shard_input)}"
-        else:
-            shard_input = pages_path
+                def shard_filter(batch, _shard=shard):
+                    urls = batch.column("url").to_pylist()
+                    mask = pa.array(
+                        [stable_hash64("shard", u) % n_shards == _shard for u in urls]
+                    )
+                    return batch.filter(mask)
 
-            def shard_filter(batch, _shard=shard):
-                urls = batch.column("url").to_pylist()
-                mask = pa.array(
-                    [stable_hash64("shard", u) % n_shards == _shard for u in urls]
+                fingerprint = f"urlhash[{shard}/{n_shards}] (single-file rescan)"
+
+            def tap_pages(b, _shard=shard):
+                import pyarrow.compute as _pc
+
+                q = _pc.sum(_pc.not_equal(b.column("error"), "")).as_py() or 0
+                key = _batch_fingerprint(b, "url")
+                counters.record(f"pages/{_shard}", key, b.num_rows - q)
+                if q:
+                    counters.record(f"quarantined_pages/{_shard}", key, q)
+                return b
+
+            def tap_chunks(b, _shard=shard):
+                key = stable_hash64(
+                    _batch_fingerprint(b, "url"),
+                    b.column("chunk_id")[0].as_py() if b.num_rows else -1,
+                    b.column("chunk_id")[-1].as_py() if b.num_rows else -1,
                 )
-                return batch.filter(mask)
+                counters.record(f"chunks/{_shard}", key, b.num_rows)
+                return b
 
-            fingerprint = f"urlhash[{shard}/{n_shards}] (single-file rescan)"
-
-        def tap_pages(b, _shard=shard):
-            import pyarrow.compute as _pc
-
-            q = _pc.sum(_pc.not_equal(b.column("error"), "")).as_py() or 0
-            key = _batch_fingerprint(b, "url")
-            counters.record.remote(f"pages/{_shard}", key, b.num_rows - q)
-            if q:
-                counters.record.remote(f"quarantined_pages/{_shard}", key, q)
-            return b
-
-        def tap_chunks(b, _shard=shard):
-            key = stable_hash64(
-                _batch_fingerprint(b, "url"),
-                b.column("chunk_id")[0].as_py() if b.num_rows else -1,
-                b.column("chunk_id")[-1].as_py() if b.num_rows else -1,
+            pages = read_pages(shard_input, shard_filter=shard_filter)
+            extracted = extracted_pages(
+                pages, lang, decode_errors=decode_errors
+            ).map_batches(tap_pages, batch_format="pyarrow")
+            chunks = chunk_pages(extracted, analyzer=analyzer).map_batches(
+                tap_chunks, batch_format="pyarrow"
             )
-            counters.record.remote(f"chunks/{_shard}", key, b.num_rows)
-            return b
+            tagged = score_chunks(
+                chunks,
+                concurrency=concurrency,
+                batch_size=batch_size,
+                analyzer=analyzer,
+            )
+            triples = tagged.map_batches(assemble_batch, batch_format="pyarrow")
+            shard_dir = f"{out_dir}/shard={shard}"
+            os.makedirs(shard_dir, exist_ok=True)
+            # resume crash window: a prior run may have died after writing
+            # parquet but before its manifest append — the shard is not in
+            # the manifest, so clear any orphan files or the finalize pass
+            # would read both copies and double-count provenance
+            for stale in _parquet_files(shard_dir):
+                os.unlink(stale)
+            triples.write_parquet(shard_dir)
+            if _fail_after_checkpoint == shard:
+                raise RuntimeError(
+                    f"injected kill after the triples of shard {shard}"
+                )
+            totals = cap_totals(counters)  # settled read (state/caps.py)
+            append_manifest(
+                out_dir,
+                {
+                    "shard": shard,
+                    "n_pages": totals.get(f"pages/{shard}", 0),
+                    "n_chunks": totals.get(f"chunks/{shard}", 0),
+                    # raw mention-level triples (linking and dedup run once,
+                    # in finalize)
+                    "n_triples": int(_count_parquet_rows(shard_dir)),
+                    "n_quarantined_pages": totals.get(f"quarantined_pages/{shard}", 0),
+                    "input_fingerprint": f"{pages_path}#{fingerprint}",
+                    "wall_time_s": round(time.time() - t0, 3),
+                },
+            )
+            summary["shards_run"] += 1
 
-        pages = read_pages(shard_input, shard_filter=shard_filter)
-        extracted = extracted_pages(
-            pages, lang, decode_errors=decode_errors
-        ).map_batches(tap_pages, batch_format="pyarrow")
-        chunks = chunk_pages(extracted, analyzer=analyzer).map_batches(
-            tap_chunks, batch_format="pyarrow"
-        )
-        tagged = score_chunks(
-            chunks,
-            concurrency=concurrency,
-            batch_size=batch_size,
-            analyzer=analyzer,
-        )
-        triples = tagged.map_batches(assemble_batch, batch_format="pyarrow")
-        shard_dir = f"{out_dir}/shard={shard}"
-        os.makedirs(shard_dir, exist_ok=True)
-        # resume crash window: a prior run may have died after writing
-        # parquet but before its manifest append — the shard is not in
-        # the manifest, so clear any orphan files or the finalize pass
-        # would read both copies and double-count provenance
-        for stale in _parquet_files(shard_dir):
+        # finalize: ONE link over every shard's triples, then the dedup,
+        # whose blocks come out in graph order (idempotent full rewrite)
+        shard_files = [
+            f
+            for s in range(n_shards)
+            for f in _parquet_files(f"{out_dir}/shard={s}")
+        ]
+        graph_dir = f"{out_dir}/graph"
+        os.makedirs(graph_dir, exist_ok=True)
+        for stale in _parquet_files(graph_dir):
             os.unlink(stale)
-        triples.write_parquet(shard_dir)
-        if _fail_after_checkpoint == shard:
-            raise RuntimeError(
-                f"injected kill after the triples of shard {shard}"
+        # blocking-cap observability (no-silent-caps rule): hot-band
+        # truncations inside the linker; best-effort — see state/caps.py: a
+        # worker dying post-task pre-flush can undercount
+        if shard_files:
+            # the shard files are source-backed, so link re-reads them for
+            # its second pass instead of caching an object-store copy
+            linked = link_triples(
+                ray.data.read_parquet(shard_files),
+                cap_counters=counters,
+                cache_input=False,
             )
-        totals = cap_totals(counters)  # settled read (state/caps.py)
-        append_manifest(
-            out_dir,
-            {
-                "shard": shard,
-                "n_pages": totals.get(f"pages/{shard}", 0),
-                "n_chunks": totals.get(f"chunks/{shard}", 0),
-                # raw mention-level triples (linking and dedup run once,
-                # in finalize)
-                "n_triples": int(_count_parquet_rows(shard_dir)),
-                "n_quarantined_pages": totals.get(f"quarantined_pages/{shard}", 0),
-                "input_fingerprint": f"{pages_path}#{fingerprint}",
-                "wall_time_s": round(time.time() - t0, 3),
-            },
-        )
-        summary["shards_run"] += 1
-
-    # finalize: ONE link over every shard's triples, then dedup + sorted
-    # write (idempotent full rewrite)
-    shard_files = [
-        f
-        for s in range(n_shards)
-        for f in _parquet_files(f"{out_dir}/shard={s}")
-    ]
-    graph_dir = f"{out_dir}/graph"
-    os.makedirs(graph_dir, exist_ok=True)
-    for stale in _parquet_files(graph_dir):
-        os.unlink(stale)
-    # blocking-cap observability (no-silent-caps rule): hot-band
-    # truncations inside the linker; best-effort — see state/caps.py: a
-    # worker dying post-task pre-flush can undercount
-    if shard_files:
-        # the shard files are source-backed, so link re-reads them for
-        # its second pass instead of caching an object-store copy
-        linked = link_triples(
-            ray.data.read_parquet(shard_files),
-            cap_counters=counters,
-            cache_input=False,
-        )
-        final = dedup_triples(linked).sort(["subj_id", "pred", "obj_id"])
-        final.write_parquet(graph_dir)
-    summary["n_triples"] = _count_parquet_rows(graph_dir)
-    summary["n_truncated_candidates"] = {
-        k: int(v)
-        for k, v in sorted(cap_totals(counters).items())
-        if "/" not in k  # the link's counters, not shard lineage
-    }
+            dedup_triples(linked).write_parquet(graph_dir)
+        summary["n_triples"] = _count_parquet_rows(graph_dir)
+        summary["n_truncated_candidates"] = {
+            k: int(v)
+            for k, v in sorted(cap_totals(counters).items())
+            if "/" not in k  # the link's counters, not shard lineage
+        }
+    finally:
+        counters.close()
     return summary
 
 

@@ -1,37 +1,36 @@
 """Exact triple deduplication with provenance (SURVEY.md O6).
 
 The reference keeps duplicate triples (one per sentence occurrence);
-the north rule requires a deduplicated graph. Pattern: vectorized key
-derivation -> **local pre-aggregation inside map_batches** (the
-combiner: collapses duplicates within each block before any network
-move) -> one ``shuffle.sorted_reduce`` on ``triple_key`` over the
-already-reduced rows, which re-runs the same combiner once per sorted
-block. Provenance is deterministic: ``n_sources`` sums occurrence
-counts; the kept (url, chunk_id) is the lexicographic min.
+the north rule requires a deduplicated graph. Pattern: **local
+pre-aggregation inside map_batches** (the combiner: collapses
+duplicates within each block before any network move) -> one
+``shuffle.sorted_reduce`` on the triple (subj_id, pred, obj_id) over
+the already-reduced rows, which re-runs the same combiner once per
+sorted block. Provenance is deterministic: ``n_sources`` sums
+occurrence counts; the kept (url, chunk_id) is the lexicographic min.
 
-The combiner is pure Arrow/numpy (VERDICT r1 item 6): the triple key is
-``mix64(subj_id) ^ mix64(pred_hash) ^ mix64(obj_id)`` with distinct
-seeds (pred hashed once per dictionary value, not per row), and the
-min-representative rule is ``sort_by`` + ordered ``group_by(...,
-use_threads=False)`` with ``first``/``sum`` aggregates — no per-row
-Python anywhere.
+The reduce key is the graph order: the shuffle range-partitions on
+(subj_id, pred, obj_id) and the combiner emits its rows sorted on it,
+so the output blocks, read in order, ARE the sorted graph — no second
+sort. A null ``pred`` sorts last, as in ``sort_by``.
+
+The combiner is pure Arrow (VERDICT r1 item 6): ``sort_by`` + ordered
+``group_by(..., use_threads=False)`` with ``first``/``sum`` aggregates,
+grouped on the pred's null-free dictionary codes
+(``shuffle.null_codes``) — no per-row Python anywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..hashing import mix64, stable_hash64
-from ..shuffle import sorted_reduce
+from ..shuffle import null_codes, sorted_reduce
 
-# triple_key derivation seeds (any change re-keys the shuffle only; the
-# key is dropped from the output, so values never reach an oracle)
-_S_SUBJ, _S_PRED, _S_OBJ = 11, 12, 13
+GRAPH_ORDER = ["subj_id", "pred", "obj_id"]
 
 _OUT_COLS = [
-    "triple_key", "subj_id", "pred", "obj_id", "subj", "obj",
+    "subj_id", "pred", "obj_id", "subj", "obj",
     "subj_type", "obj_type", "subj_mod", "n_sources", "url", "chunk_id",
 ]
 
@@ -42,24 +41,8 @@ _OUT_COLS = [
 _ORDER_COLS = ["url", "chunk_id", "subj_mod", "subj_type", "obj_type"]
 
 
-def _triple_keys(batch: pa.Table) -> pa.Array:
-    """Vectorized int64 key over (subj_id, pred, obj_id)."""
-    subj = batch.column("subj_id").to_numpy(zero_copy_only=False).view(np.uint64)
-    obj = batch.column("obj_id").to_numpy(zero_copy_only=False).view(np.uint64)
-    enc = pc.dictionary_encode(batch.column("pred")).combine_chunks()
-    if isinstance(enc, pa.ChunkedArray):  # single chunk after combine
-        enc = enc.chunk(0)
-    dict_hashes = np.array(
-        [stable_hash64("pred", v) for v in enc.dictionary.to_pylist()],
-        dtype=np.uint64,
-    )
-    pred_h = dict_hashes[enc.indices.to_numpy(zero_copy_only=False)]
-    key = mix64(subj, _S_SUBJ) ^ mix64(pred_h, _S_PRED) ^ mix64(obj, _S_OBJ)
-    return pa.array(key.view(np.int64), pa.int64())
-
-
 def _local_combine(batch: pa.Table) -> pa.Table:
-    """Combiner: one row per triple key within this block."""
+    """Combiner: one row per triple within this block, in graph order."""
     names = batch.column_names
     # first pass sees linked rows (subj_canon/obj_canon); the merge pass
     # sees already-combined rows whose subj/obj ARE the canonical surfaces
@@ -72,8 +55,8 @@ def _local_combine(batch: pa.Table) -> pa.Table:
     )
     work = pa.table(
         {
-            "triple_key": _triple_keys(batch) if batch.num_rows else pa.array([], pa.int64()),
             "subj_id": batch.column("subj_id"),
+            "__pred": null_codes(batch.column("pred")).indices,
             "pred": batch.column("pred"),
             "obj_id": batch.column("obj_id"),
             "subj": batch.column(subj_surface),
@@ -86,13 +69,11 @@ def _local_combine(batch: pa.Table) -> pa.Table:
             "chunk_id": batch.column("chunk_id"),
         }
     )
-    ordered = work.sort_by(
-        [("triple_key", "ascending")] + [(c, "ascending") for c in _ORDER_COLS]
-    )
-    gb = ordered.group_by(["triple_key"], use_threads=False).aggregate(
+    # ordered (single-threaded) "first" keeps each triple's min row
+    ordered = work.sort_by([(c, "ascending") for c in _ORDER_COLS])
+    gb = ordered.group_by(["subj_id", "__pred", "obj_id"], use_threads=False).aggregate(
         [
-            ("subj_id", "first"), ("pred", "first"), ("obj_id", "first"),
-            ("subj", "first"), ("obj", "first"),
+            ("pred", "first"), ("subj", "first"), ("obj", "first"),
             ("subj_type", "first"), ("obj_type", "first"), ("subj_mod", "first"),
             ("n_sources", "sum"), ("url", "first"), ("chunk_id", "first"),
         ]
@@ -102,17 +83,18 @@ def _local_combine(batch: pa.Table) -> pa.Table:
     # detail (CLAUDE.md r2 gotcha)
     strip = {f"{c}_first": c for c in _OUT_COLS} | {"n_sources_sum": "n_sources"}
     gb = gb.rename_columns([strip.get(c, c) for c in gb.column_names])
-    return gb.select(_OUT_COLS)
+    return gb.select(_OUT_COLS).sort_by([(c, "ascending") for c in GRAPH_ORDER])
 
 
 def dedup_triples(linked):
-    """linked triples Dataset -> deduplicated graph rows Dataset.
+    """linked triples Dataset -> deduplicated graph rows Dataset, in
+    graph order: its blocks, in order, are sorted on (subj_id, pred,
+    obj_id).
 
     The subj/obj columns of the output carry the canonical surfaces.
     The combiner is associative and commutative (min-representative +
     count sum), so re-running it over each sorted block — which holds
-    whole ``triple_key`` runs — yields one exact row per key.
+    whole triple runs — yields one exact row per triple.
     """
     combined = linked.map_batches(_local_combine, batch_format="pyarrow")
-    out = sorted_reduce(combined, "triple_key", _local_combine)
-    return out.drop_columns(["triple_key"])
+    return sorted_reduce(combined, GRAPH_ORDER, _local_combine)

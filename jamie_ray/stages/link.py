@@ -143,7 +143,7 @@ def candidate_edges_group(
     if len(norms) > max_group:
         # hot-band truncation: counted (state/caps.py), never silent
         if cap_counters is not None:
-            cap_counters.record.remote(
+            cap_counters.record(
                 "link_truncated_candidates",
                 group.column("band_key")[0].as_py(),
                 len(norms) - max_group,

@@ -471,33 +471,113 @@ def test_quarantine_counters(corpus, tmp_path):
     scorer.model.predict = orig
 
 
-def _cap_counter_ids() -> set[str]:
+def _cap_counter_ids(state: str | None = None) -> set[str]:
     import ray
 
     return {
         actor_id
         for actor_id, info in ray._private.state.actors().items()
         if info["ActorClassName"] == "CapCounters"
+        and state in (None, info["State"])
     }
 
 
-def test_materialize_starts_one_counter_actor(corpus, tmp_path):
-    """One CapCounters actor per materialize_graph call — each actor is
-    a worker-process start — both for a full 4-shard run and for the
-    resume that follows a kill after the last shard's triples."""
+def test_materialize_starts_one_counter_actor(corpus, tmp_path, monkeypatch):
+    """materialize_graph records into the session's one CapCounters
+    actor (each actor is a worker-process start): once the session
+    holds it, neither a second call nor a kill followed by a resume
+    starts another, and every call drops its records when it returns
+    or is killed."""
+    import ray
+
+    from jamie_ray.state import caps
+
+    runs = []
+
+    def recorded_run():
+        runs.append(real_new())
+        return runs[-1]
+
+    real_new = caps.new_cap_counters
+    monkeypatch.setattr(caps, "new_cap_counters", recorded_run)
+
+    def records_left() -> list[int]:
+        return [ray.get(r.actor.snapshot.remote(r.run))[0] for r in runs]
+
     _, tables = corpus
     pages = _split_pages(tables["pages"], tmp_path / "pages_four", 4)
-    before = _cap_counter_ids()
     kg.materialize_graph(pages, str(tmp_path / "full"), n_shards=4)
-    assert len(_cap_counter_ids() - before) == 1
+    held = _cap_counter_ids()
+    assert len(_cap_counter_ids("ALIVE")) == 1
+    assert records_left() == [0]
 
     out = str(tmp_path / "resumed")
     with pytest.raises(RuntimeError, match="injected kill"):
         kg.materialize_graph(pages, out, n_shards=4, _fail_after_checkpoint=3)
-    before = _cap_counter_ids()
+    assert records_left() == [0, 0]
     s = kg.materialize_graph(pages, out, n_shards=4)
-    assert len(_cap_counter_ids() - before) == 1
     assert s["shards_skipped"] == 3 and s["shards_run"] == 1
+    assert records_left() == [0, 0, 0]
+    assert _cap_counter_ids() == held
+
+
+def test_run_counters_keep_runs_apart(ray_session):
+    """Two runs recording the same (name, key) into the session actor
+    each read back their own count; a closed run ignores late sends."""
+    from jamie_ray.state.caps import cap_totals, new_cap_counters
+
+    a, b = new_cap_counters(), new_cap_counters()
+    assert a.actor == b.actor and a.run != b.run
+    a.record("pages/0", 7, 3)
+    b.record("pages/0", 7, 5)
+    b.record("pages/0", 8, 1)
+    assert cap_totals(a) == {"pages/0": 3}
+    assert cap_totals(b) == {"pages/0": 6}
+    a.close()
+    a.record("pages/0", 9, 4)
+    assert cap_totals(a) == {} and cap_totals(b) == {"pages/0": 6}
+    b.close()
+
+
+def test_reinitialised_session_gets_a_fresh_counter_actor():
+    """The session actor outlives the runs that used it (a later run
+    still counts after the first run's handle is gone), and after
+    ray.shutdown() and ray.init() the name lookup creates a new actor,
+    which counts too."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import gc\n"
+        "import ray\n"
+        "from jamie_ray.state.caps import cap_totals, new_cap_counters\n"
+        "def run(n):\n"
+        "    c = new_cap_counters()\n"
+        "    c.record('n', 1, n)\n"
+        "    assert cap_totals(c) == {'n': n}\n"
+        "    c.close()\n"
+        "    return c.actor._actor_id.hex()\n"
+        "def session():\n"
+        "    ray.init(address='local', num_cpus=1, include_dashboard=False, logging_level='ERROR')\n"
+        "    first = run(2)\n"
+        "    gc.collect()\n"
+        "    assert run(3) == first\n"
+        "    ray.shutdown()\n"
+        "    return first\n"
+        "first, second = session(), session()\n"
+        "assert first != second, first\n"
+        "print('fresh actor ok')\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert "fresh actor ok" in r.stdout
 
 
 def test_materialize_lineage_is_per_shard(corpus, tmp_path, monkeypatch):
@@ -518,7 +598,7 @@ def test_materialize_lineage_is_per_shard(corpus, tmp_path, monkeypatch):
         # one hot-band truncation, recorded the way the link kernel
         # records it, so the summary has a link counter to keep apart
         # from the lineage ones
-        cap_counters.record.remote("link_truncated_candidates", 7, 5)
+        cap_counters.record("link_truncated_candidates", 7, 5)
         return real_link(triples, cap_counters=cap_counters, **kw)
 
     monkeypatch.setattr(kgmod, "link_triples", truncating_link)

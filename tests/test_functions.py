@@ -267,12 +267,12 @@ def test_semantic_dedup_max_group_cap_counted(ray_session):
     is recorded via cap_counters — never silent."""
     import ray
 
-    from jamie_ray.state.caps import CapCounters, cap_totals
+    from jamie_ray.state.caps import cap_totals, new_cap_counters
 
     # 6 identical vectors -> one cluster of 6; max_group=3 -> ids 3..5
     # are beyond the comparison set
     vecs = [{"vec_id": i, "embedding": [1.0, 0.0]} for i in range(6)]
-    counters = CapCounters.remote()
+    counters = new_cap_counters()
     out = similarity.semantic_dedup(
         ray.data.from_items(vecs),
         threshold=0.9,

@@ -503,6 +503,50 @@ def test_cli_index_refresh_reads_recorded_id_col(ray_session, tmp_path, capsys):
     }
 
 
+def test_refresh_reads_recorded_text_col(ray_session, tmp_path, capsys):
+    """An index built from a ``body`` column refreshes without the
+    column named again, through the library and through
+    ``index --refresh``; a meta written before ``text_col`` was
+    recorded refreshes from ``text``."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from jamie_ray.__main__ import main
+    from jamie_ray.functions import index as idx
+
+    body = _docs_table().rename_columns(["doc_id", "body"])
+    lib = str(tmp_path / "lib")
+    meta = idx.build_term_index(ray.data.from_arrow(body), lib, text_col="body")
+    assert meta["text_col"] == "body"
+    new = pa.table({"doc_id": pa.array([10], pa.int64()), "body": ["cat boat"]})
+    assert idx.refresh_term_index(lib, ray.data.from_arrow(new))["generation"] == 2
+    got = {r["term"]: r["postings"] for r in idx.lookup_postings(lib, ["boat"]).to_pylist()}
+    assert got == {"boat": [10]}
+
+    docs, new_path = str(tmp_path / "docs.parquet"), str(tmp_path / "new.parquet")
+    pq.write_table(body, docs)
+    pq.write_table(new, new_path)
+    cli = str(tmp_path / "cli")
+    main(["index", "--docs", docs, "--out", cli, "--text-col", "body"])
+    main(["index", "--docs", new_path, "--out", cli, "--refresh"])
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["generation"] == 2
+
+    old = str(tmp_path / "old")
+    idx.build_term_index(ray.data.from_arrow(_docs_table()), old)
+    meta_path = os.path.join(old, idx._IDX_META)
+    with open(meta_path) as f:
+        meta = json.load(f)
+    del meta["text_col"]
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    new_text = new.rename_columns(["doc_id", "text"])
+    assert idx.refresh_term_index(old, ray.data.from_arrow(new_text))["generation"] == 2
+
+
 def test_cli_ann_build_refresh_reads_recorded_columns(ray_session, tmp_path, capsys):
     """ann-build --refresh reads the id and vector columns the build
     recorded, not the --id-col/--vec-col defaults."""

@@ -270,6 +270,35 @@ def test_dedup_triples_layout_invariant_vs_duckdb(ray_session):
     assert out.equals(_canonical(want))
 
 
+def _with_null_preds(linked: pa.Table) -> pa.Table:
+    # every third row's pred is null, so the null run spans all 7 blocks
+    preds = [None if i % 3 == 0 else p for i, p in enumerate(linked["pred"].to_pylist())]
+    return linked.set_column(
+        linked.schema.get_field_index("pred"), "pred", pa.array(preds, pa.string())
+    )
+
+
+@pytest.mark.parametrize("null_pred", [False, True])
+def test_dedup_triples_writes_graph_order(ray_session, tmp_path, null_pred):
+    """The written graph, read back in file-name order, is sorted on
+    (subj_id, pred, obj_id) on every layout with no sort after the
+    dedup, and equals the oracle in that order (a null pred last)."""
+    import pyarrow.parquet as pq
+
+    linked = _with_null_preds(_linked()) if null_pred else _linked()
+    order = [(c, "ascending") for c in ("subj_id", "pred", "obj_id")]
+    for lay in LAYOUTS:
+        out = tmp_path / lay
+        dedup_triples(_layout(linked, lay)).write_parquet(str(out))
+        got = pa.concat_tables(
+            [pq.read_table(f) for f in sorted(out.glob("*.parquet"))]
+        ).combine_chunks()
+        assert got.equals(got.sort_by(order)), lay
+        want = _dedup_oracle(linked).select(got.column_names).cast(got.schema)
+        assert got.equals(want.sort_by(order)), lay
+    assert (got.column("pred").null_count > 0) == null_pred
+
+
 def test_dedup_triples_zero_rows(ray_session):
     assert _same_on_every_layout(dedup_triples, _empty_like(_linked())) is None
 
@@ -884,6 +913,20 @@ def test_events_hourly_layouts_vs_duckdb(ray_session, monkeypatch, null_keys):
 # -- structural guard --------------------------------------------------------
 
 
+def _source_nodes():
+    """``(path under jamie_ray/, node)`` for every ast node of the
+    package source."""
+    import ast
+    import pathlib
+
+    import jamie_ray
+
+    root = pathlib.Path(jamie_ray.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield str(path.relative_to(root)), node
+
+
 def test_no_per_group_dispatch_in_ported_modules():
     """``jamie_ray.runs`` is gone, no ``.map_groups(`` call is left
     anywhere in ``jamie_ray/``, and no public ``n_buckets`` /
@@ -891,17 +934,13 @@ def test_no_per_group_dispatch_in_ported_modules():
     import ast
     import importlib.util
     import inspect
-    import pathlib
 
-    import jamie_ray
     from jamie_ray.evalx import evaluate_datasets
 
     assert importlib.util.find_spec("jamie_ray.runs") is None
-    root = pathlib.Path(jamie_ray.__file__).parent
     offenders = [
-        f"{path.relative_to(root)}:{node.lineno}"
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        f"{path}:{node.lineno}"
+        for path, node in _source_nodes()
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "map_groups"
@@ -917,3 +956,38 @@ def test_no_per_group_dispatch_in_ported_modules():
     assert [f.__name__ for f in fns if "n_buckets" in inspect.signature(f).parameters] == []
     params = inspect.signature(join.hash_join).parameters
     assert "num_buckets" not in params
+
+
+def test_side_counts_go_through_run_counters():
+    """Kernels send side counts through ``RunCounters.record``: no
+    ``.record.remote(`` call is left in ``jamie_ray/`` outside
+    ``state/caps.py``, and only ``state/caps.py`` names the
+    ``CapCounters`` actor class (so only it creates one)."""
+    import ast
+
+    caps = "state/caps.py"
+    remote_records = [
+        f"{path}:{node.lineno}"
+        for path, node in _source_nodes()
+        if path != caps
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "remote"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "record"
+    ]
+    assert remote_records == []
+    actor_class = [
+        f"{path}:{node.lineno}"
+        for path, node in _source_nodes()
+        if path != caps
+        and (
+            (isinstance(node, ast.Name) and node.id == "CapCounters")
+            or (isinstance(node, ast.Attribute) and node.attr == "CapCounters")
+            or (
+                isinstance(node, ast.ImportFrom)
+                and any(a.name == "CapCounters" for a in node.names)
+            )
+        )
+    ]
+    assert actor_class == []
