@@ -1,10 +1,9 @@
 """The flagship KG-construction pipeline (SURVEY.md §4 physical plan).
 
     read_parquet(pages, columns=[url, html, lang])   # prune at the read
-      -> filter(lang)                                 # vectorized
-      -> extract_text                                 # stateless mb, byte-pinned
+      -> filter(lang) + extract_text                  # one stateless mb, byte-pinned
       -> chunk                                        # stateless mb explode
-      -> score (tasks; actor pool opt-in)             # batch-sized
+      -> score (tasks; actor pool opt-in)             # micro-batched in the kernel
       -> assemble                                     # stateless mb
       -> link (sorted_reduce on band + broadcast map) # shuffle #1
       -> dedup (combine + sorted_reduce on            # shuffle #2
@@ -12,9 +11,12 @@
       -> write_parquet + lineage
 
 Everything before ``link`` is a straight-line streaming plan: blocks
-flow with backpressure, nothing materializes the corpus. The driver
-never iterates rows; the only driver-side state is the verified LSH
-edge list (see ``stages/link.py``).
+flow with backpressure, nothing materializes the corpus. With the task
+scorer and at least one input file per CPU, the read through assemble
+is one fused Ray operator: one task per page file (see
+``_read_blocks``). The driver never iterates rows; the only
+driver-side state is the verified LSH edge list (see
+``stages/link.py``).
 
 ``materialize_graph`` cuts this plan at the assemble write: each
 resumable shard stops at its raw triples on disk, and one finalize
@@ -24,6 +26,7 @@ counts in the session's one counter actor (``state/caps.py``).
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -69,33 +72,62 @@ def default_scorer_concurrency() -> int:
 
 
 def read_pages(pages_path: str, *, shard_filter=None) -> ray.data.Dataset:
-    # a small-scale corpus arrives as one parquet file -> force enough
-    # read blocks that every downstream stage can run wide; at real
-    # scale the file count itself provides this
     ds = ray.data.read_parquet(
         pages_path,
         columns=["url", "html", "lang"],
-        # ~6 blocks per core: enough waves that the last one's stragglers
-        # cost little (measured ~7% at 16 cpus vs 2 blocks/core), still
-        # few enough that task overhead stays negligible
-        override_num_blocks=_cluster_cpus() * 6,
+        override_num_blocks=_read_blocks(pages_path),
     )
     if shard_filter is not None:
         ds = ds.map_batches(shard_filter, batch_format="pyarrow")
     return ds
 
 
+def _read_blocks(pages_path) -> int:
+    """Read blocks to ask for: one per input file once the files cover
+    every CPU, else ~6 per CPU cut out of the few files.
+
+    One block per file keeps the read fused with the map chain (a
+    read split into more blocks than files is not fused, and files
+    merged into one block delay its first output), so a page file is
+    one Ray task end to end. The trade-off: between ``cpus`` and
+    ``6 × cpus`` files, a multi-core run gets fewer, longer waves
+    than 6 per CPU, whose last stragglers cost more (measured ~7% at
+    16 CPUs for 2 blocks per CPU vs 6).
+
+    An input of fewer files than CPUs (a small-scale corpus is one
+    file) is split to ~6 blocks per CPU so every stage runs wide, but
+    no file is cut into more blocks than it has rows: an empty split
+    is a block with no schema, which ``pa.concat_tables`` of the
+    output rejects. The row counts come from the files' parquet
+    footers. An input whose files are not listed here (nested
+    partitions) gets ``6 × cpus``.
+    """
+    import pyarrow.parquet as pq
+
+    cpus = _cluster_cpus()
+    files = _input_parquet_files(pages_path)
+    if len(files) >= cpus:
+        return len(files)
+    if not files:
+        return cpus * 6
+    # Ray cuts each file's output into ceil(blocks / files) pieces
+    per_file = min(
+        -(-cpus * 6 // len(files)),
+        min(pq.read_metadata(f).num_rows for f in files),
+    )
+    return len(files) * max(1, per_file)
+
+
 def extracted_pages(
     pages: ray.data.Dataset, lang: str = "ja", decode_errors: str = "strict"
 ) -> ray.data.Dataset:
-    import functools
+    def extract(b):
+        # one kernel: Ray calls no map on an empty block but passes it on
+        # with no schema, so a separate lang filter that empties a block
+        # would leave the extract output of that block schema-less
+        return extract_batch(filter_lang_batch(b, lang), decode_errors=decode_errors)
 
-    return pages.map_batches(
-        lambda b: filter_lang_batch(b, lang), batch_format="pyarrow"
-    ).map_batches(
-        functools.partial(extract_batch, decode_errors=decode_errors),
-        batch_format="pyarrow",
-    )
+    return pages.map_batches(extract, batch_format="pyarrow")
 
 
 def chunk_pages(
@@ -129,11 +161,16 @@ def score_chunks(
 ) -> ray.data.Dataset:
     """Scoring stage, two physical shapes:
 
-    - tasks (default for the mock): per-worker singleton model, fuses
-      with the surrounding stateless stages, zero per-job pool startup;
+    - tasks (default for the mock): per-worker singleton model, zero
+      per-job pool startup. The kernel cuts each block into
+      ``batch_size``-row micro-batches itself, so this ``map_batches``
+      carries no ``batch_size=`` and the whole chain from the read to
+      assemble fuses into one task per block (a ``batch_size=`` here
+      would stop Ray fusing the read);
     - actor pool (``use_actors=True``, forced for non-mock backends):
       the shape a real transformer needs (heavy weights / GPUs) —
-      ``__init__`` loads once per actor.
+      ``__init__`` loads once per actor, and Ray's batcher cuts the
+      ``batch_size``-row batches.
 
     ``model`` selects the backend (see ``JointScorer.__init__``):
     "mock", "hf:<checkpoint_dir>", or a predict()-bearing object.
@@ -151,15 +188,13 @@ def score_chunks(
             batch_size=batch_size,
             batch_format="pyarrow",
         )
-    import functools
-
     return chunks.map_batches(
         functools.partial(
             score_chunks_task,
             model_cost_layers=model_cost_layers,
             analyzer=analyzer,
+            batch_size=batch_size,
         ),
-        batch_size=batch_size,
         batch_format="pyarrow",
     )
 

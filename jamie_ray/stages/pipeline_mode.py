@@ -26,7 +26,13 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..labels import bio_to_spans
-from ..mockmodel import gazetteer_tokens, max_gazetteer_len, modality_for, relation_for
+from ..mockmodel import (
+    gazetteer_lengths,
+    gazetteer_mentions,
+    gazetteer_tokens,
+    modality_for,
+    relation_for,
+)
 from ..tokenization import analyze
 
 
@@ -47,7 +53,7 @@ class NerStage:
 
     def __init__(self) -> None:
         self.gazetteer = gazetteer_tokens()
-        self.max_len = max_gazetteer_len()
+        self.lengths = gazetteer_lengths()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_tokens, out_ner = [], []
@@ -55,20 +61,12 @@ class NerStage:
             tokens = analyze(text)
             ner = ["O"] * len(tokens)
             for seg_start, seg_end in _segments(tokens):
-                i = seg_start
-                while i < seg_end:
-                    matched = False
-                    for w in range(min(self.max_len, seg_end - i), 0, -1):
-                        tag = self.gazetteer.get(tuple(tokens[i : i + w]))
-                        if tag is not None:
-                            ner[i] = f"B-{tag}"
-                            for j in range(i + 1, i + w):
-                                ner[j] = f"I-{tag}"
-                            i += w
-                            matched = True
-                            break
-                    if not matched:
-                        i += 1
+                for s, e, tag in gazetteer_mentions(
+                    tokens, seg_start, seg_end, self.gazetteer, self.lengths
+                ):
+                    ner[s] = f"B-{tag}"
+                    for j in range(s + 1, e):
+                        ner[j] = f"I-{tag}"
             out_tokens.append(tokens)
             out_ner.append(ner)
         return pa.table(

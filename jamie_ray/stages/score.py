@@ -39,8 +39,9 @@ from ..labels import (
 )
 from ..mockmodel import (
     REL_VOCAB,
+    gazetteer_lengths,
+    gazetteer_mentions,
     gazetteer_tokens,
-    max_gazetteer_len,
     modality_for,
     relation_for,
 )
@@ -62,7 +63,8 @@ class MockJointModel:
     def __init__(self, analyzer: str = "mecab") -> None:
         self.analyzer = analyzer
         self.gazetteer = gazetteer_tokens(analyzer)
-        self.max_len = max_gazetteer_len(analyzer)
+        # by first token: at each position try only widths that can match
+        self.lengths = gazetteer_lengths(analyzer)
 
     # -- word-level tagging (the "forward pass") -------------------------
 
@@ -85,23 +87,13 @@ class MockJointModel:
             seg_end = seg_start
             while seg_end < n and tokens[seg_end] != "[SEP]":
                 seg_end += 1
-            # mentions within [seg_start, seg_end)
-            mentions: list[tuple[int, int, str]] = []  # (start, end, tag)
-            i = seg_start
-            while i < seg_end:
-                matched = False
-                for w in range(min(self.max_len, seg_end - i), 0, -1):
-                    tag = self.gazetteer.get(tuple(tokens[i : i + w]))
-                    if tag is not None:
-                        mentions.append((i, i + w, tag))
-                        ner[i] = f"B-{tag}"
-                        for j in range(i + 1, i + w):
-                            ner[j] = f"I-{tag}"
-                        i += w
-                        matched = True
-                        break
-                if not matched:
-                    i += 1
+            mentions = gazetteer_mentions(
+                tokens, seg_start, seg_end, self.gazetteer, self.lengths
+            )
+            for s, e, tag in mentions:
+                ner[s] = f"B-{tag}"
+                for j in range(s + 1, e):
+                    ner[j] = f"I-{tag}"
             # modality + relations keyed by mention string and ordinal
             mstrs = ["".join(tokens[s:e]) for s, e, _ in mentions]
             for k, (s, e, tag) in enumerate(mentions):
@@ -337,7 +329,10 @@ _TASK_SCORERS: dict[tuple[int, str], "JointScorer"] = {}
 
 
 def score_chunks_task(
-    batch: pa.Table, model_cost_layers: int = 0, analyzer: str = "mecab"
+    batch: pa.Table,
+    model_cost_layers: int = 0,
+    analyzer: str = "mecab",
+    batch_size: int | None = None,
 ) -> pa.Table:
     """Plain-task scorer kernel with a module-level per-worker singleton.
 
@@ -345,10 +340,24 @@ def score_chunks_task(
     make per-job actor-pool startup the dominant fixed cost; a cached
     task function gives the same build-once state without it. A real
     transformer (heavy weights, GPUs) should use the actor-pool path.
+
+    ``batch_size`` scores the block over consecutive slices of that many
+    rows, each length-bucketed on its own: the micro-batches Ray's
+    batcher would cut, so the output is the same, but the caller's
+    ``map_batches`` needs no ``batch_size=`` and so still fuses with the
+    read (see ``pipelines/kg.score_chunks``). ``None`` scores the block
+    as one batch.
     """
     key = (model_cost_layers, analyzer)
     scorer = _TASK_SCORERS.get(key)
     if scorer is None:
         scorer = JointScorer(model_cost_layers=model_cost_layers, analyzer=analyzer)
         _TASK_SCORERS[key] = scorer
-    return scorer(batch)
+    if batch_size is None or batch.num_rows <= batch_size:
+        return scorer(batch)
+    return pa.concat_tables(
+        [
+            scorer(batch.slice(lo, batch_size))
+            for lo in range(0, batch.num_rows, batch_size)
+        ]
+    )

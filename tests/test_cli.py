@@ -117,7 +117,8 @@ _TEXTS = [
 
 
 def _table(ds) -> pa.Table:
-    # empty blocks may carry an empty schema; they hold no rows
+    # a read block with no page in the language reaches the maps after
+    # extract empty, and Ray passes it on with no schema; it holds no rows
     return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
 
 

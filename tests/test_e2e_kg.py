@@ -8,6 +8,7 @@ real test of the full distributed decode/alignment path. P/R must be
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamie_ray import fixtures
 from jamie_ray.pipelines import kg
@@ -624,3 +625,81 @@ def test_materialize_lineage_is_per_shard(corpus, tmp_path, monkeypatch):
         assert rec["n_quarantined_pages"] == n_q, shard
         assert rec["n_pages"] == len(ja) - n_q, shard
         assert rec["n_chunks"] == sum(chunks_per_url.get(u, 0) for u in ja), shard
+
+
+def _operators(ds) -> list[tuple[str, int]]:
+    """(name, tasks executed) of each operator in ``ds.stats()``."""
+    import re
+
+    return [
+        (m.group(1), int(m.group(2)))
+        for m in re.finditer(
+            r"^Operator \d+ (\S+): (\d+) tasks executed", ds.stats(), re.M
+        )
+    ]
+
+
+def test_build_triples_fuses_into_one_task_per_file(corpus, tmp_path):
+    """With at least one page file per CPU, the read through assemble is
+    one fused operator that runs one task per file: a ``batch_size=`` on
+    any map in the chain would split the read off into its own tasks.
+    The task scorer cuts its batches in the kernel; the actor-pool
+    scorer still has Ray cut them."""
+    pages_dir, tables = corpus
+    n_files = max(4, kg._cluster_cpus())
+    pages = _split_pages(tables["pages"], tmp_path / "pages_files", n_files)
+    ds = kg.build_triples(pages)
+    cols = ["subj", "pred", "obj", "url", "chunk_id"]
+    assert _rows(ds, cols) == _rows(tables["expected_triples"], cols)
+    ops = _operators(ds)
+    assert len(ops) == 1, ops
+    name, n_tasks = ops[0]
+    assert name.startswith("ReadParquet->MapBatches"), name
+    assert n_tasks == n_files
+
+    chunks = kg.chunk_pages(kg.extracted_pages(kg.read_pages(pages)))
+    actors = kg.score_chunks(chunks, use_actors=True, concurrency=1, batch_size=17)
+    tasks = kg.score_chunks(chunks, batch_size=17)
+    assert actors._logical_plan.dag._batch_size == 17
+    assert tasks._logical_plan.dag._batch_size is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scorer_micro_batches_are_exact(corpus, data):
+    """``score_chunks_task(block, batch_size=64)`` is the concatenation
+    of the 64-row slices scored one by one; ``batch_size=None`` scores
+    the block as one batch."""
+    from jamie_ray.stages.score import JointScorer, score_chunks_task
+
+    chunks = corpus[1]["expected_chunks"]
+    size = data.draw(st.sampled_from([0, 1, 63, 64, 65, 200]))
+    rows = data.draw(
+        st.lists(st.integers(0, chunks.num_rows - 1), min_size=size, max_size=size)
+    )
+    block = chunks.take(pa.array(rows, pa.int64()))
+    whole = JointScorer()(block)
+    assert score_chunks_task(block).equals(whole)
+    slices = [score_chunks_task(block.slice(i, 64)) for i in range(0, size, 64)]
+    got = score_chunks_task(block, batch_size=64)
+    assert got.num_rows == size
+    assert got.equals(pa.concat_tables(slices) if slices else whole)
+
+
+def test_tiny_input_reads_no_empty_blocks(tmp_path, ray_session):
+    """A single file with fewer rows than ``6 × cpus`` read blocks is cut
+    into at most one block per row: no read block is empty, so every
+    extract output block has its schema (the lang filter runs inside the
+    extract kernel) and the blocks concatenate."""
+    import pyarrow.parquet as pq
+    import ray
+
+    pages = fixtures.generate(16)["pages"]
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, path)
+    assert kg._cluster_cpus() * 6 > pages.num_rows
+    read = ray.get(kg.read_pages(path).to_arrow_refs())
+    assert all(t.num_rows for t in read)
+    ds = kg.extracted_pages(kg.read_pages(path), lang="ja")
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.num_rows == pages["lang"].to_pylist().count("ja") > 0
