@@ -3,7 +3,7 @@
     read_parquet(pages, columns=[url, html, lang])   # prune at the read
       -> filter(lang) + extract_text                  # one stateless mb, byte-pinned
       -> chunk                                        # stateless mb explode
-      -> score (tasks; actor pool opt-in)             # micro-batched in the kernel
+      -> score (tasks; actor pool opt-in)             # batch-sized
       -> assemble                                     # stateless mb
       -> link (sorted_reduce on band + broadcast map) # shuffle #1
       -> dedup (combine + sorted_reduce on            # shuffle #2
@@ -11,12 +11,9 @@
       -> write_parquet + lineage
 
 Everything before ``link`` is a straight-line streaming plan: blocks
-flow with backpressure, nothing materializes the corpus. With the task
-scorer and at least one input file per CPU, the read through assemble
-is one fused Ray operator: one task per page file (see
-``_read_blocks``). The driver never iterates rows; the only
-driver-side state is the verified LSH edge list (see
-``stages/link.py``).
+flow with backpressure, nothing materializes the corpus. The driver
+never iterates rows; the only driver-side state is the verified LSH
+edge list (see ``stages/link.py``).
 
 ``materialize_graph`` cuts this plan at the assemble write: each
 resumable shard stops at its raw triples on disk, and one finalize
@@ -83,36 +80,41 @@ def read_pages(pages_path: str, *, shard_filter=None) -> ray.data.Dataset:
 
 
 def _read_blocks(pages_path) -> int:
-    """Read blocks to ask for: one per input file once the files cover
-    every CPU, else ~6 per CPU cut out of the few files.
+    """Read blocks to ask for: ~6 per CPU, but no empty split, and
+    whole files spread evenly once the files are that many or more.
 
-    One block per file keeps the read fused with the map chain (a
-    read split into more blocks than files is not fused, and files
-    merged into one block delay its first output), so a page file is
-    one Ray task end to end. The trade-off: between ``cpus`` and
-    ``6 × cpus`` files, a multi-core run gets fewer, longer waves
-    than 6 per CPU, whose last stragglers cost more (measured ~7% at
-    16 CPUs for 2 blocks per CPU vs 6).
+    ~6 blocks per core: enough waves that the last one's stragglers
+    cost little (measured ~7% at 16 cpus vs 2 blocks/core), still few
+    enough that task overhead stays negligible. Ray 2.49 reads ``n``
+    blocks out of ``f`` parquet files as ``min(n, f)`` read tasks of
+    whole files (``np.array_split``), and with ``n > f`` cuts each
+    task's output into ``ceil(n / f)`` blocks. So:
 
-    An input of fewer files than CPUs (a small-scale corpus is one
-    file) is split to ~6 blocks per CPU so every stage runs wide, but
-    no file is cut into more blocks than it has rows: an empty split
-    is a block with no schema, which ``pa.concat_tables`` of the
-    output rejects. The row counts come from the files' parquet
-    footers. An input whose files are not listed here (nested
-    partitions) gets ``6 × cpus``.
+    - fewer files than ``6 × cpus`` (a small-scale corpus is one file):
+      each file is cut into ``ceil(6 × cpus / f)`` blocks, as a plain
+      ``6 × cpus`` request does, but into no more blocks than the
+      smallest file has rows: an empty split is a block with no
+      schema, which ``pa.concat_tables`` of the output rejects. The
+      row counts come from the parquet footers.
+    - at least ``6 × cpus`` files: whole files, ``f // (6 × cpus)`` or
+      fewer per block (up to ``2 × 6 × cpus`` blocks). A plain request
+      groups 8 files at one CPU as 2,2,1,1,1,1: the double blocks are
+      the first two, and the consumer's first batch waits for both.
+      Here each of the 8 files is its own block: at one core that
+      moved ``triples_stream``'s first batch from 0.92 to 0.63 s, and
+      cost ~8% of its rows/s for the extra read and map tasks.
+    - no file listed here (nested partitions): ``6 × cpus``.
     """
     import pyarrow.parquet as pq
 
-    cpus = _cluster_cpus()
+    target = _cluster_cpus() * 6
     files = _input_parquet_files(pages_path)
-    if len(files) >= cpus:
-        return len(files)
     if not files:
-        return cpus * 6
-    # Ray cuts each file's output into ceil(blocks / files) pieces
+        return target
+    if len(files) >= target:
+        return -(-len(files) // (len(files) // target))
     per_file = min(
-        -(-cpus * 6 // len(files)),
+        -(-target // len(files)),
         min(pq.read_metadata(f).num_rows for f in files),
     )
     return len(files) * max(1, per_file)
@@ -161,16 +163,13 @@ def score_chunks(
 ) -> ray.data.Dataset:
     """Scoring stage, two physical shapes:
 
-    - tasks (default for the mock): per-worker singleton model, zero
-      per-job pool startup. The kernel cuts each block into
-      ``batch_size``-row micro-batches itself, so this ``map_batches``
-      carries no ``batch_size=`` and the whole chain from the read to
-      assemble fuses into one task per block (a ``batch_size=`` here
-      would stop Ray fusing the read);
+    - tasks (default for the mock): per-worker singleton model, fuses
+      with the surrounding stateless stages (not with the read: Ray
+      2.49 fuses no read into a map with a ``batch_size=``), zero
+      per-job pool startup;
     - actor pool (``use_actors=True``, forced for non-mock backends):
       the shape a real transformer needs (heavy weights / GPUs) —
-      ``__init__`` loads once per actor, and Ray's batcher cuts the
-      ``batch_size``-row batches.
+      ``__init__`` loads once per actor.
 
     ``model`` selects the backend (see ``JointScorer.__init__``):
     "mock", "hf:<checkpoint_dir>", or a predict()-bearing object.
@@ -193,8 +192,8 @@ def score_chunks(
             score_chunks_task,
             model_cost_layers=model_cost_layers,
             analyzer=analyzer,
-            batch_size=batch_size,
         ),
+        batch_size=batch_size,
         batch_format="pyarrow",
     )
 

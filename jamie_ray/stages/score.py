@@ -329,10 +329,7 @@ _TASK_SCORERS: dict[tuple[int, str], "JointScorer"] = {}
 
 
 def score_chunks_task(
-    batch: pa.Table,
-    model_cost_layers: int = 0,
-    analyzer: str = "mecab",
-    batch_size: int | None = None,
+    batch: pa.Table, model_cost_layers: int = 0, analyzer: str = "mecab"
 ) -> pa.Table:
     """Plain-task scorer kernel with a module-level per-worker singleton.
 
@@ -340,24 +337,10 @@ def score_chunks_task(
     make per-job actor-pool startup the dominant fixed cost; a cached
     task function gives the same build-once state without it. A real
     transformer (heavy weights, GPUs) should use the actor-pool path.
-
-    ``batch_size`` scores the block over consecutive slices of that many
-    rows, each length-bucketed on its own: the micro-batches Ray's
-    batcher would cut, so the output is the same, but the caller's
-    ``map_batches`` needs no ``batch_size=`` and so still fuses with the
-    read (see ``pipelines/kg.score_chunks``). ``None`` scores the block
-    as one batch.
     """
     key = (model_cost_layers, analyzer)
     scorer = _TASK_SCORERS.get(key)
     if scorer is None:
         scorer = JointScorer(model_cost_layers=model_cost_layers, analyzer=analyzer)
         _TASK_SCORERS[key] = scorer
-    if batch_size is None or batch.num_rows <= batch_size:
-        return scorer(batch)
-    return pa.concat_tables(
-        [
-            scorer(batch.slice(lo, batch_size))
-            for lo in range(0, batch.num_rows, batch_size)
-        ]
-    )
+    return scorer(batch)

@@ -8,7 +8,6 @@ real test of the full distributed decode/alignment path. P/R must be
 
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from jamie_ray import fixtures
 from jamie_ray.pipelines import kg
@@ -639,51 +638,25 @@ def _operators(ds) -> list[tuple[str, int]]:
     ]
 
 
-def test_build_triples_fuses_into_one_task_per_file(corpus, tmp_path):
-    """With at least one page file per CPU, the read through assemble is
-    one fused operator that runs one task per file: a ``batch_size=`` on
-    any map in the chain would split the read off into its own tasks.
-    The task scorer cuts its batches in the kernel; the actor-pool
-    scorer still has Ray cut them."""
+def test_read_blocks_hold_whole_files(corpus, tmp_path, monkeypatch):
+    """At ``6 × cpus`` input files or more, each read block is whole
+    files, ``files // (6 × cpus)`` at most: 8 files at one CPU are 8
+    blocks (a plain request of 6 would read 2,2,1,1,1,1 files), 13 are
+    7. Below that, each file is cut as a plain ``6 × cpus`` request
+    cuts it."""
     pages_dir, tables = corpus
-    n_files = max(4, kg._cluster_cpus())
-    pages = _split_pages(tables["pages"], tmp_path / "pages_files", n_files)
+    pages = _split_pages(tables["pages"], tmp_path / "pages_files", 8)
+    monkeypatch.setattr(kg, "_cluster_cpus", lambda: 1)
     ds = kg.build_triples(pages)
     cols = ["subj", "pred", "obj", "url", "chunk_id"]
     assert _rows(ds, cols) == _rows(tables["expected_triples"], cols)
-    ops = _operators(ds)
-    assert len(ops) == 1, ops
-    name, n_tasks = ops[0]
-    assert name.startswith("ReadParquet->MapBatches"), name
-    assert n_tasks == n_files
+    assert _operators(ds)[0] == ("ReadParquet", 8)
 
-    chunks = kg.chunk_pages(kg.extracted_pages(kg.read_pages(pages)))
-    actors = kg.score_chunks(chunks, use_actors=True, concurrency=1, batch_size=17)
-    tasks = kg.score_chunks(chunks, batch_size=17)
-    assert actors._logical_plan.dag._batch_size == 17
-    assert tasks._logical_plan.dag._batch_size is None
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_scorer_micro_batches_are_exact(corpus, data):
-    """``score_chunks_task(block, batch_size=64)`` is the concatenation
-    of the 64-row slices scored one by one; ``batch_size=None`` scores
-    the block as one batch."""
-    from jamie_ray.stages.score import JointScorer, score_chunks_task
-
-    chunks = corpus[1]["expected_chunks"]
-    size = data.draw(st.sampled_from([0, 1, 63, 64, 65, 200]))
-    rows = data.draw(
-        st.lists(st.integers(0, chunks.num_rows - 1), min_size=size, max_size=size)
-    )
-    block = chunks.take(pa.array(rows, pa.int64()))
-    whole = JointScorer()(block)
-    assert score_chunks_task(block).equals(whole)
-    slices = [score_chunks_task(block.slice(i, 64)) for i in range(0, size, 64)]
-    got = score_chunks_task(block, batch_size=64)
-    assert got.num_rows == size
-    assert got.equals(pa.concat_tables(slices) if slices else whole)
+    thirteen = _split_pages(tables["pages"], tmp_path / "thirteen", 13)
+    assert kg._read_blocks(thirteen) == 7
+    monkeypatch.setattr(kg, "_cluster_cpus", lambda: 4)
+    assert kg._read_blocks(pages) == 24
+    assert kg._read_blocks(thirteen) == 26
 
 
 def test_tiny_input_reads_no_empty_blocks(tmp_path, ray_session):
