@@ -372,8 +372,8 @@ def _spill_input(docs, spill_dir: str, cols: list[str] | None):
     """Write a DERIVED input's needed columns (all columns when
     ``cols`` is None) to parquet ONCE and return a source-backed
     Dataset over them — so a multi-pass operator re-reads from disk
-    instead of re-executing upstream compute per pass (the
-    ``link_triples(spill_dir=...)`` pattern)."""
+    instead of re-executing upstream compute per pass (the shape
+    ``materialize_graph`` finalize gives ``link_triples(cache_input=False)``)."""
     import os
 
     import ray.data as _rd
@@ -629,8 +629,7 @@ def minhash_clusters(
     compute is expensive, pass ``spill_dir``: the (id, text) columns
     are written there as partitioned Parquet ONCE and all three passes
     re-read from disk, so upstream executes exactly once and memory
-    stays bounded at any scale (the ``link_triples(spill_dir=...)``
-    pattern, done for you).
+    stays bounded at any scale (a source-backed input, made for you).
     """
     if spill_dir is not None:
         docs = _spill_input(docs, spill_dir, [id_col, text_col])

@@ -24,8 +24,9 @@ counts. Every stage streams; the only driver state is the exact-dup
 winner map and the near-dup LOSER id set, both duplicate-mass-bounded
 and loudly capped (``state/collect.py``). Each stage's output text is
 spilled to parquet once (``spill_dir``) because the downstream dedup
-operators are multi-pass — the ``link_triples(spill_dir=...)``
-pattern.
+operators are multi-pass — the shape ``materialize_graph`` finalize
+gives ``link_triples(cache_input=False)``: write once, re-read per
+pass.
 """
 
 from __future__ import annotations

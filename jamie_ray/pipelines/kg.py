@@ -3,7 +3,7 @@
     read_parquet(pages, columns=[url, html, lang])   # prune at the read
       -> filter(lang) + extract_text                  # one stateless mb, byte-pinned
       -> chunk                                        # stateless mb explode
-      -> score (tasks; actor pool opt-in)             # batch-sized
+      -> score (mock: tasks; a real model: actors)    # batch-sized
       -> assemble                                     # stateless mb
       -> link (sorted_reduce on band + broadcast map) # shuffle #1
       -> dedup (combine + sorted_reduce on            # shuffle #2
@@ -68,15 +68,12 @@ def default_scorer_concurrency() -> int:
     return max(2, _cluster_cpus() - 2)
 
 
-def read_pages(pages_path: str, *, shard_filter=None) -> ray.data.Dataset:
-    ds = ray.data.read_parquet(
+def read_pages(pages_path: str) -> ray.data.Dataset:
+    return ray.data.read_parquet(
         pages_path,
         columns=["url", "html", "lang"],
         override_num_blocks=_read_blocks(pages_path),
     )
-    if shard_filter is not None:
-        ds = ds.map_batches(shard_filter, batch_format="pyarrow")
-    return ds
 
 
 def _read_blocks(pages_path) -> int:
@@ -134,18 +131,15 @@ def extracted_pages(
 
 def chunk_pages(
     extracted: ray.data.Dataset,
-    len_limit: int | None = None,
     analyzer: str = "mecab",
 ) -> ray.data.Dataset:
     from ..stages.chunk import DEFAULT_LEN_LIMIT
     from ..stages.extract import healthy_batch
 
-    limit = len_limit or DEFAULT_LEN_LIMIT
-
     def kernel(b):
         if "error" in b.column_names:  # drop quarantined pages explicitly
             b = healthy_batch(b)
-        return chunk_pages_batch(b, limit, analyzer)
+        return chunk_pages_batch(b, DEFAULT_LEN_LIMIT, analyzer)
 
     return extracted.map_batches(kernel, batch_format="pyarrow")
 
@@ -153,38 +147,35 @@ def chunk_pages(
 def score_chunks(
     chunks: ray.data.Dataset,
     *,
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_SCORER_BATCH,
-    model_cost_layers: int = 0,
-    use_actors: bool = False,
     model="mock",
-    hf_kwargs: dict | None = None,
+    concurrency: int | None = None,
+    model_cost_layers: int = 0,
     analyzer: str = "mecab",
 ) -> ray.data.Dataset:
-    """Scoring stage, two physical shapes:
+    """Scoring stage; its backend picks its physical shape:
 
-    - tasks (default for the mock): per-worker singleton model, fuses
-      with the surrounding stateless stages (not with the read: Ray
-      2.49 fuses no read into a map with a ``batch_size=``), zero
-      per-job pool startup;
-    - actor pool (``use_actors=True``, forced for non-mock backends):
-      the shape a real transformer needs (heavy weights / GPUs) —
-      ``__init__`` loads once per actor.
+    - ``model="mock"``: tasks. A per-worker singleton model, fused with
+      the surrounding stateless stages (not with the read: Ray 2.49
+      fuses no read into a map with a ``batch_size=``), zero per-job
+      pool startup;
+    - any other backend: an actor pool of ``concurrency`` actors
+      (cluster-sized by default), the shape a real transformer needs
+      (heavy weights / GPUs) — ``__init__`` loads once per actor.
 
     ``model`` selects the backend (see ``JointScorer.__init__``):
-    "mock", "hf:<checkpoint_dir>", or a predict()-bearing object.
+    "mock", "hf:<checkpoint_dir>", "w2v[:<dir>]",
+    "trained:<checkpoint_dir>", or a predict()-bearing object.
     """
-    if use_actors or model != "mock":
+    if model != "mock":
         return chunks.map_batches(
             JointScorer,
             fn_constructor_kwargs={
                 "model_cost_layers": model_cost_layers,
                 "model": model,
-                "hf_kwargs": hf_kwargs,
                 "analyzer": analyzer,
             },
             concurrency=concurrency or default_scorer_concurrency(),
-            batch_size=batch_size,
+            batch_size=DEFAULT_SCORER_BATCH,
             batch_format="pyarrow",
         )
     return chunks.map_batches(
@@ -193,7 +184,7 @@ def score_chunks(
             model_cost_layers=model_cost_layers,
             analyzer=analyzer,
         ),
-        batch_size=batch_size,
+        batch_size=DEFAULT_SCORER_BATCH,
         batch_format="pyarrow",
     )
 
@@ -202,15 +193,9 @@ def build_triples(
     pages_path: str,
     *,
     lang: str = "ja",
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_SCORER_BATCH,
-    shard_filter=None,
-    model_cost_layers: int = 0,
     mode: str = "joint",
-    len_limit: int | None = None,
-    use_actors: bool = False,
     model="mock",
-    hf_kwargs: dict | None = None,
+    model_cost_layers: int = 0,
     analyzer: str = "mecab",
     decode_errors: str = "strict",
 ) -> ray.data.Dataset:
@@ -224,20 +209,22 @@ def build_triples(
     reference's juman|mecab choice, utils.py:30-42) for chunking AND
     scoring — the two must agree; ``decode_errors`` selects strict vs
     lossy utf-8 at extraction (see ``stages/extract.py``).
+
+    Anything else is composition over the returned Dataset: e.g.
+    ``evalx.mask_attrib_batch`` (one attribute task) or any
+    ``Dataset -> Dataset`` step placed before ``link_triples``.
     """
-    if mode == "pipeline" and (model != "mock" or hf_kwargs or use_actors):
+    if mode == "pipeline" and model != "mock":
         # the 3-stage pipeline scorer has no pluggable-model seam: a
         # caller handing it a trained backend must hear that BEFORE any
         # read starts, not get mock-model triples with no error
         raise ValueError(
             "build_triples: mode='pipeline' supports only the mock "
-            "3-stage scorer (model/hf_kwargs/use_actors don't apply) "
-            "— use mode='joint' for pluggable backends"
+            "3-stage scorer — use mode='joint' for pluggable backends"
         )
-    pages = read_pages(pages_path, shard_filter=shard_filter)
+    pages = read_pages(pages_path)
     chunks = chunk_pages(
         extracted_pages(pages, lang, decode_errors=decode_errors),
-        len_limit=len_limit,
         analyzer=analyzer,
     )
     if mode == "pipeline":
@@ -247,12 +234,8 @@ def build_triples(
     else:
         tagged = score_chunks(
             chunks,
-            concurrency=concurrency,
-            batch_size=batch_size,
-            model_cost_layers=model_cost_layers,
-            use_actors=use_actors,
             model=model,
-            hf_kwargs=hf_kwargs,
+            model_cost_layers=model_cost_layers,
             analyzer=analyzer,
         )
     return tagged.map_batches(assemble_batch, batch_format="pyarrow")
@@ -266,34 +249,11 @@ def build_entities(pages_path: str, *, lang: str = "ja") -> ray.data.Dataset:
     return tagged.map_batches(entities_batch, batch_format="pyarrow")
 
 
-def build_graph(
-    pages_path: str,
-    *,
-    lang: str = "ja",
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_SCORER_BATCH,
-    model_cost_layers: int = 0,
-    mode: str = "joint",
-    len_limit: int | None = None,
-    use_actors: bool = False,
-    link_threshold: float | None = None,
-) -> ray.data.Dataset:
+def build_graph(pages_path: str, **kw) -> ray.data.Dataset:
     """Full pipeline through linking + dedup, in graph order (sorted on
-    (subj_id, pred, obj_id), as :func:`materialize_graph` writes it)."""
-    from ..stages.link import DEFAULT_THRESHOLD
-
-    triples = build_triples(
-        pages_path,
-        lang=lang,
-        concurrency=concurrency,
-        batch_size=batch_size,
-        model_cost_layers=model_cost_layers,
-        mode=mode,
-        len_limit=len_limit,
-        use_actors=use_actors,
-    )
-    linked = link_triples(triples, threshold=link_threshold or DEFAULT_THRESHOLD)
-    return dedup_triples(linked)
+    (subj_id, pred, obj_id), as :func:`materialize_graph` writes it).
+    ``kw`` are :func:`build_triples`'s keywords."""
+    return dedup_triples(link_triples(build_triples(pages_path, **kw)))
 
 
 def materialize_graph(
@@ -302,8 +262,6 @@ def materialize_graph(
     *,
     lang: str = "ja",
     n_shards: int = 8,
-    concurrency: int | None = None,
-    batch_size: int = DEFAULT_SCORER_BATCH,
     analyzer: str = "mecab",
     decode_errors: str = "strict",
     _fail_after_checkpoint: int | None = None,
@@ -373,14 +331,12 @@ def materialize_graph(
             t0 = time.time()
 
             if by_files:
-                shard_input = [
+                own_files = [
                     f for i, f in enumerate(input_files) if i % n_shards == shard
                 ]
-                shard_filter = None
-                fingerprint = f"files[{shard}/{n_shards}]:{len(shard_input)}"
+                pages = read_pages(own_files)
+                fingerprint = f"files[{shard}/{n_shards}]:{len(own_files)}"
             else:
-                shard_input = pages_path
-
                 def shard_filter(batch, _shard=shard):
                     urls = batch.column("url").to_pylist()
                     mask = pa.array(
@@ -388,6 +344,9 @@ def materialize_graph(
                     )
                     return batch.filter(mask)
 
+                pages = read_pages(pages_path).map_batches(
+                    shard_filter, batch_format="pyarrow"
+                )
                 fingerprint = f"urlhash[{shard}/{n_shards}] (single-file rescan)"
 
             def tap_pages(b, _shard=shard):
@@ -409,20 +368,15 @@ def materialize_graph(
                 counters.record(f"chunks/{_shard}", key, b.num_rows)
                 return b
 
-            pages = read_pages(shard_input, shard_filter=shard_filter)
             extracted = extracted_pages(
                 pages, lang, decode_errors=decode_errors
             ).map_batches(tap_pages, batch_format="pyarrow")
             chunks = chunk_pages(extracted, analyzer=analyzer).map_batches(
                 tap_chunks, batch_format="pyarrow"
             )
-            tagged = score_chunks(
-                chunks,
-                concurrency=concurrency,
-                batch_size=batch_size,
-                analyzer=analyzer,
+            triples = score_chunks(chunks, analyzer=analyzer).map_batches(
+                assemble_batch, batch_format="pyarrow"
             )
-            triples = tagged.map_batches(assemble_batch, batch_format="pyarrow")
             shard_dir = f"{out_dir}/shard={shard}"
             os.makedirs(shard_dir, exist_ok=True)
             # resume crash window: a prior run may have died after writing

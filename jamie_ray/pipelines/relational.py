@@ -520,38 +520,6 @@ def doc_analysis(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(all_facets, batch_format="pyarrow")
 
 
-def doc_token_stats(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: token_count_batch(b).select(["doc_id", "n_tokens", "n_bpe"]),
-        batch_format="pyarrow",
-    )
-
-
-def doc_lang_id(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: lang_id_batch(b).select(["doc_id", "lang_pred"]),
-        batch_format="pyarrow",
-    )
-
-
-def doc_quality(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: quality_score_batch(b).select(["doc_id", "quality_micro"]),
-        batch_format="pyarrow",
-    )
-
-
-def doc_fingerprint(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(
-        lambda b: fingerprint_batch(b).select(["doc_id", "text_hash"]),
-        batch_format="pyarrow",
-    )
-
-
 def shipping_priority(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q3-flavored composite: dimension broadcast + distributed
     fact filter + ONE hash-shuffle join + grouped revenue + top-10.

@@ -25,9 +25,9 @@ matrix):
   exercises the identical downstream path.
 
 Run shape: pass ``model="hf:<checkpoint_dir>"`` to
-:class:`~jamie_ray.stages.score.JointScorer` (or set
-``PipelineConfig.scorer_model``); the scorer then runs as an actor pool
-so weights load once per actor in ``__init__``.
+:class:`~jamie_ray.stages.score.JointScorer` (or to ``build_triples`` /
+``score_chunks``); the scorer then runs as an actor pool so weights
+load once per actor in ``__init__``.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class HFJointModel:
             ) from ex
         # label vocabularies default to the checkpoint's own json files
         # (the reference's ner2ix/mod2ix/rel2ix.json, copied verbatim by
-        # scripts/export_torchscript.py) — `hf:<dir>` needs no hf_kwargs
+        # scripts/export_torchscript.py) — `hf:<dir>` needs no arguments
         if ner_labels is None:
             ner_labels = _labels_from_json(f"{model_dir}/ner2ix.json")
         if mod_labels is None:

@@ -93,12 +93,6 @@ def jaccard(a: str, b: str) -> float:
 # Ray stages
 # --------------------------------------------------------------------------
 
-def surfaces_batch(batch: pa.Table) -> pa.Table:
-    """triples batch -> one 'surface' row per subj/obj occurrence."""
-    vals = batch.column("subj").to_pylist() + batch.column("obj").to_pylist()
-    return pa.table({"surface": pa.array(vals, pa.string())})
-
-
 def distinct_surfaces_batch(batch: pa.Table) -> pa.Table:
     """Combiner: block-local DISTINCT of subj/obj surfaces.
 
@@ -289,7 +283,6 @@ def link_triples(
     *,
     threshold: float = DEFAULT_THRESHOLD,
     alias_table: dict[str, str] | None = None,
-    spill_dir: str | None = None,
     edge_cap: int | None = None,
     cap_counters=None,
     cache_input: bool = True,
@@ -314,20 +307,15 @@ def link_triples(
     The input is consumed twice (candidate generation, then the id
     rewrite), and triples are the *reduced* output of the expensive
     scoring stage, so by default they are ``materialize()``-cached in
-    the object store (spillable). For triple sets too large even for
-    spill comfort, pass ``spill_dir``: triples are written to
-    partitioned Parquet there and both passes re-read from disk —
-    bounded memory at any scale (the 100-TB-safe shape). If the input
-    is ALREADY source-backed (a plain ``read_parquet``), pass
-    ``cache_input=False`` to skip the object-store copy entirely.
+    the object store (spillable). If the input is ALREADY source-backed
+    (a plain ``read_parquet``), pass ``cache_input=False`` to skip the
+    object-store copy entirely: both passes re-read from disk, bounded
+    memory at any scale (the 100-TB-safe shape). A caller holding
+    triple sets too large even for spill comfort writes them to parquet
+    and links the ``read_parquet`` of that, as ``materialize_graph``
+    finalize does over its shard files.
     """
-    if spill_dir is not None:
-        # the shared spill helper (it cites this call site as the
-        # pattern it factors out); cols=None keeps the full triple row
-        from ..functions.dedup_docs import _spill_input
-
-        triples = _spill_input(triples, spill_dir, None)
-    elif cache_input:
+    if cache_input:
         triples = triples.materialize()
     # cache_input=False: the caller vouches the input is already
     # source-backed (e.g. read_parquet over materialize_graph's shard

@@ -190,7 +190,6 @@ class JointScorer:
         self,
         model="mock",
         model_cost_layers: int = 0,
-        hf_kwargs: dict | None = None,
         analyzer: str | None = None,
     ) -> None:
         """``model`` selects the backend behind the predict() contract:
@@ -198,8 +197,9 @@ class JointScorer:
         - ``"mock"`` (default): the deterministic gazetteer model;
         - ``"hf:<checkpoint_dir>"``: the transformers backend
           (``stages/hf_model.py``) — optional torch/transformers
-          import, weights load HERE (once per actor); ``hf_kwargs``
-          passes label vocabularies etc.;
+          import, weights load HERE (once per actor); label
+          vocabularies come from the checkpoint's json files (inject an
+          ``HFJointModel`` object to override them or the device);
         - ``"w2v"`` / ``"w2v:<artifact_dir>"``: the non-BERT
           w2v+BiLSTM NER encoder (``stages/w2v_lstm.py``, the
           reference's ``--non_bert`` path) — pure numpy, embeddings
@@ -221,20 +221,17 @@ class JointScorer:
         elif isinstance(model, str) and model.startswith("hf:"):
             from .hf_model import HFJointModel
 
-            self.model = HFJointModel(model[3:], **(hf_kwargs or {}))
+            self.model = HFJointModel(model[3:])
         elif isinstance(model, str) and model.startswith("trained:"):
             from .train_joint import TrainedJointModel
 
-            self.model = TrainedJointModel(
-                model[len("trained:"):], analyzer=analyzer, **(hf_kwargs or {})
-            )
+            self.model = TrainedJointModel(model[len("trained:"):], analyzer=analyzer)
         elif isinstance(model, str) and (model == "w2v" or model.startswith("w2v:")):
             from .w2v_lstm import W2VLSTMModel
 
             self.model = W2VLSTMModel(
                 model[4:] or None if model.startswith("w2v:") else None,
                 analyzer=analyzer or "mecab",  # chunking/scoring agree
-                **(hf_kwargs or {}),
             )
         elif hasattr(model, "predict"):
             self.model = model

@@ -197,7 +197,7 @@ def wakati_juman_real(text: str) -> list[str]:
 # analyzer registry (SURVEY.md §2.9 user-extension surface): the
 # reference hard-wires a juman|mecab flag (utils.py:30-42); here the
 # analyzer is a named pure function str -> tokens, selectable per
-# pipeline via PipelineConfig.analyzer and extensible by users.
+# pipeline via the entry points' ``analyzer=`` and extensible by users.
 # 'mecab'/'juman' are the deterministic in-repo taggers (always
 # available); 'mecab_real'/'juman_real' wrap the genuine optional
 # bindings and fail loudly at first use when those aren't installed.

@@ -149,14 +149,21 @@ def test_writer_sinks_match_fixture_oracle(corpus):
 
 
 def test_config_attrib_task(corpus):
-    """PipelineConfig.attrib_task (reference clinical_cert.py -a):
-    graph subj_mod carries ONLY the selected family's attribute."""
-    from jamie_ray.config import PipelineConfig, build_graph_with_config
+    """One attribute task (reference clinical_cert.py -a) is a map
+    composed between build_triples and the link: graph subj_mod carries
+    ONLY the selected family's attribute."""
+    from jamie_ray.evalx import mask_attrib_batch
+    from jamie_ray.stages.dedup import dedup_triples
+    from jamie_ray.stages.link import link_triples
 
     pages_dir, _ = corpus
-    graph = build_graph_with_config(
-        str(pages_dir / "pages.parquet"), PipelineConfig(attrib_task="cert")
+    triples = kg.build_triples(str(pages_dir / "pages.parquet")).map_batches(
+        lambda b: mask_attrib_batch(
+            b, "cert", tag_col="subj_type", mod_col="subj_mod"
+        ),
+        batch_format="pyarrow",
     )
+    graph = dedup_triples(link_triples(triples))
     rows = graph.select_columns(["subj_type", "subj_mod"]).take_all()
     assert any(r["subj_type"] == "d" and r["subj_mod"] != "_" for r in rows)
     assert all(
@@ -651,6 +658,12 @@ def test_read_blocks_hold_whole_files(corpus, tmp_path, monkeypatch):
     cols = ["subj", "pred", "obj", "url", "chunk_id"]
     assert _rows(ds, cols) == _rows(tables["expected_triples"], cols)
     assert _operators(ds)[0] == ("ReadParquet", 8)
+    # the read stays its own operator, then one fused task-map chain
+    # (CLAUDE.md "Page stages")
+    assert [name for name, _ in _operators(ds)[1:]] == [
+        "MapBatches(extract)->MapBatches(kernel)"
+        "->MapBatches(score_chunks_task)->MapBatches(assemble_batch)"
+    ]
 
     thirteen = _split_pages(tables["pages"], tmp_path / "thirteen", 13)
     assert kg._read_blocks(thirteen) == 7

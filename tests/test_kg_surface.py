@@ -1,0 +1,42 @@
+"""The KG stages' keyword surface, pinned (as tests/data/cli_surface.json
+pins the CLI): each entry point takes only the keywords some caller
+sets, so a keyword added or removed here is a deliberate test edit.
+Anything else composes over the returned Dataset."""
+
+import inspect
+
+from jamie_ray.pipelines import kg
+from jamie_ray.stages.link import link_triples
+
+SURFACE = {
+    kg.read_pages: ["pages_path"],
+    kg.chunk_pages: ["extracted", "analyzer"],
+    kg.score_chunks: [
+        "chunks", "model", "concurrency", "model_cost_layers", "analyzer",
+    ],
+    kg.build_triples: [
+        "pages_path", "lang", "mode", "model", "model_cost_layers",
+        "analyzer", "decode_errors",
+    ],
+    kg.build_graph: ["pages_path", "**kw"],  # build_triples' keywords
+    kg.materialize_graph: [
+        "pages_path", "out_dir", "lang", "n_shards", "analyzer",
+        "decode_errors", "_fail_after_checkpoint",
+    ],
+    link_triples: [
+        "triples", "threshold", "alias_table", "edge_cap", "cap_counters",
+        "cache_input",
+    ],
+}
+
+
+def _keywords(fn) -> list[str]:
+    return [
+        ("**" if p.kind is p.VAR_KEYWORD else "") + p.name
+        for p in inspect.signature(fn).parameters.values()
+    ]
+
+
+def test_entry_point_keywords_are_pinned():
+    for fn, params in SURFACE.items():
+        assert _keywords(fn) == params, fn.__name__

@@ -127,11 +127,50 @@ def test_unknown_backend_rejected():
         JointScorer(model="bert-base")
 
 
-def test_config_carries_scorer_model():
-    from jamie_ray.config import PipelineConfig
+def test_scorer_shape_follows_backend(ray_session, tmp_path):
+    """The backend alone picks the scorer's physical shape: "mock" is a
+    task map (no actor pool), an injected predict() object an actor
+    pool of ``concurrency`` actors whose predict() runs inside an
+    actor."""
+    import re
 
-    cfg = PipelineConfig(scorer_model="hf:/ckpt")
-    assert cfg.scorer_model == "hf:/ckpt"
+    import ray
+    import ray.data
+    from ray.data._internal.compute import ActorPoolStrategy, TaskPoolStrategy
+
+    from jamie_ray.pipelines.kg import score_chunks
+
+    marks = tmp_path / "actor_ids"
+
+    class LocalInjected:
+        def __init__(self) -> None:
+            self.inner = MockJointModel()
+
+        def predict(self, text):
+            with open(marks, "a") as f:
+                f.write(f"{ray.get_runtime_context().get_actor_id()}\n")
+            return self.inner.predict(text)
+
+    def shape(ds):
+        compute = ds._logical_plan.dag._compute
+        ds = ds.materialize()
+        names = re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
+        return names, compute
+
+    names, compute = shape(score_chunks(ray.data.from_arrow(_chunk_batch())))
+    assert names == ["FromArrow", "MapBatches(score_chunks_task)"]
+    assert isinstance(compute, TaskPoolStrategy)
+
+    names, compute = shape(
+        score_chunks(
+            ray.data.from_arrow(_chunk_batch()), model=LocalInjected(), concurrency=1
+        )
+    )
+    assert names == ["FromArrow", "MapBatches(JointScorer)"]
+    assert isinstance(compute, ActorPoolStrategy)
+    assert compute.min_size == compute.max_size == 1
+    ids = marks.read_text().split()
+    assert len(ids) == 2 and len(set(ids)) == 1 and ids[0] != "None"
 
 
 def test_decode_half_against_saved_forward_fixture():

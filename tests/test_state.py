@@ -73,87 +73,41 @@ def test_manifest_atomic_append(tmp_path):
     assert recs[2]["n_triples"] == 7
 
 
-def test_pipeline_config_registry(ray_session, tmp_path):
-    import pyarrow.parquet as pq
-
-    from jamie_ray import fixtures
-    from jamie_ray.config import (
-        PipelineConfig,
-        build_graph_with_config,
-        get_stage,
-        register_stage,
-    )
-
-    tables = fixtures.generate(40)
-    pq.write_table(tables["pages"], tmp_path / "pages.parquet")
-
-    calls = {"n": 0}
-
-    @register_stage("test-filter-region")
-    def drop_region_preds(ds):
-        import pyarrow.compute as pc
-
-        calls["n"] += 1
-        return ds.map_batches(
-            lambda b: b.filter(pc.not_equal(b.column("pred"), "region")),
-            batch_format="pyarrow",
-        )
-
-    cfg = PipelineConfig(extra_stages=("test-filter-region",))
-    graph = build_graph_with_config(str(tmp_path / "pages.parquet"), cfg)
-    rows = graph.take_all()
-    assert calls["n"] == 1
-    assert all(r["pred"] != "region" for r in rows)
-    assert get_stage("test-filter-region") is drop_region_preds
-
-    import pytest
-
-    with pytest.raises(KeyError):
-        get_stage("missing-stage")
-
-
 def test_pipeline_config_analyzer_and_decode(ray_session, tmp_path):
-    """PipelineConfig's analyzer (juman|mecab) and decode_errors knobs
-    are real: the juman run produces the same triples on the (digit-free)
-    fixture corpus, and decode_errors='replace' extracts a lossy page
-    that strict mode quarantines."""
+    """build_graph's analyzer (juman|mecab) and decode_errors keywords
+    reach build_triples: the juman run produces the same triples on the
+    (digit-free) fixture corpus, and a page with a stray invalid byte
+    is quarantined under strict decoding but kept under
+    decode_errors='replace'."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from jamie_ray import fixtures
-    from jamie_ray.config import PipelineConfig, build_graph_with_config
     from jamie_ray.pipelines import kg
 
-    tables = fixtures.generate(30)
-    pq.write_table(tables["pages"], tmp_path / "pages.parquet")
+    pages = fixtures.generate(30)["pages"]
+    pq.write_table(pages, tmp_path / "pages.parquet")
     path = str(tmp_path / "pages.parquet")
 
     def surfaces(rows):
-        return sorted((r["subj"], r["pred"], r["obj"]) for r in rows)
+        return sorted((r["subj"], r["pred"], r["obj"], r["url"]) for r in rows)
 
-    base = build_graph_with_config(path, PipelineConfig()).take_all()
-    juman = build_graph_with_config(path, PipelineConfig(analyzer="juman")).take_all()
+    base = kg.build_graph(path).take_all()
+    juman = kg.build_graph(path, analyzer="juman").take_all()
     assert surfaces(base) == surfaces(juman) and base
 
-    # a page whose html has a stray invalid byte: strict -> quarantine,
-    # replace -> extracted with U+FFFD
-    import pyarrow as pa
-
-    from jamie_ray.stages.extract import extract_batch
-
-    page = pa.table(
-        {
-            "url": ["http://x/1"],
-            "html": [b"<html><body><p>ab\xffcd</p></body></html>"],
-        }
+    # corrupt one page that yields a triple: a stray byte before </body>
+    url = base[0]["url"]
+    html = pages.column("html").to_pylist()
+    i = pages.column("url").to_pylist().index(url)
+    html[i] = html[i].replace(b"</body>", b"\xff</body>")
+    pages = pages.set_column(
+        pages.schema.get_field_index("html"), "html", pa.array(html, pa.binary())
     )
-    strict = extract_batch(page)
-    assert strict.column("error")[0].as_py() != ""
-    lossy = extract_batch(page, decode_errors="replace")
-    assert lossy.column("error")[0].as_py() == ""
-    assert "�" in lossy.column("text")[0].as_py()
+    pq.write_table(pages, tmp_path / "bad.parquet")
+    bad = str(tmp_path / "bad.parquet")
 
-    lossy_cfg = PipelineConfig(decode_errors="replace")
-    assert lossy_cfg.decode_errors == "replace"
-    # threading smoke: the config-driven pipeline accepts the knob
-    got = build_graph_with_config(path, lossy_cfg).take_all()
-    assert surfaces(got) == surfaces(base)
+    strict = kg.build_graph(bad).take_all()
+    assert all(r["url"] != url for r in strict)
+    lossy = kg.build_graph(bad, decode_errors="replace").take_all()
+    assert surfaces(lossy) == surfaces(base)
