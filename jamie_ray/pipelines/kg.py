@@ -133,13 +133,12 @@ def chunk_pages(
     extracted: ray.data.Dataset,
     analyzer: str = "mecab",
 ) -> ray.data.Dataset:
-    from ..stages.chunk import DEFAULT_LEN_LIMIT
     from ..stages.extract import healthy_batch
 
     def kernel(b):
         if "error" in b.column_names:  # drop quarantined pages explicitly
             b = healthy_batch(b)
-        return chunk_pages_batch(b, DEFAULT_LEN_LIMIT, analyzer)
+        return chunk_pages_batch(b, analyzer=analyzer)
 
     return extracted.map_batches(kernel, batch_format="pyarrow")
 

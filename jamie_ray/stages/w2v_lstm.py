@@ -80,35 +80,26 @@ class _LSTMCell:
 class W2VLSTMModel:
     """predict()-contract NER backend over w2v + BiLSTM (non-BERT)."""
 
-    def __init__(
-        self,
-        model_dir: str | None = None,
-        *,
-        dim: int = DEFAULT_DIM,
-        hidden: int = DEFAULT_HIDDEN,
-        ner_labels: list[str] | None = None,
-        analyzer: str = "mecab",
-    ) -> None:
+    def __init__(self, model_dir: str | None = None, *, analyzer: str = "mecab") -> None:
         # stateful setup once per actor/worker: artifact load + weights
+        from ..state.artifacts import default_vocabs
+
         self.analyzer = analyzer
-        self.dim = dim
-        self.hidden = hidden
+        self.dim = DEFAULT_DIM
         self.vocab: dict[str, int] = {}
         self.matrix: np.ndarray | None = None
         if model_dir is not None:
             from ..state.artifacts import load_w2v
 
             self.vocab, self.matrix = load_w2v(model_dir)
-            self.dim = dim = int(self.matrix.shape[1])
-        if ner_labels is None:
-            from ..state.artifacts import default_vocabs
-
-            n2ix = default_vocabs()["ner2ix"]
-            ner_labels = [k for k, _ in sorted(n2ix.items(), key=lambda kv: kv[1])]
-        self.ner_labels = ner_labels
-        self.fwd = _LSTMCell(dim, hidden, seed=11)
-        self.bwd = _LSTMCell(dim, hidden, seed=13)
-        self.emission = _hash_matrix((len(ner_labels), 2 * hidden), seed=17)
+            self.dim = int(self.matrix.shape[1])
+        n2ix = default_vocabs()["ner2ix"]
+        self.ner_labels = [k for k, _ in sorted(n2ix.items(), key=lambda kv: kv[1])]
+        self.fwd = _LSTMCell(self.dim, DEFAULT_HIDDEN, seed=11)
+        self.bwd = _LSTMCell(self.dim, DEFAULT_HIDDEN, seed=13)
+        self.emission = _hash_matrix(
+            (len(self.ner_labels), 2 * DEFAULT_HIDDEN), seed=17
+        )
 
     def _embed(self, tokens: list[str]) -> np.ndarray:
         out = np.empty((len(tokens), self.dim))

@@ -196,7 +196,7 @@ def main() -> None:
             {
                 "out": args.out,
                 "rel_vocab": [k for k, _ in sorted(rel2ix.items(), key=lambda kv: kv[1])],
-                "usage": "JointScorer(model='hf:%s', hf_kwargs={...})" % args.out,
+                "usage": "build_triples(pages_path, model='hf:%s')" % args.out,
             }
         )
     )

@@ -127,18 +127,16 @@ def test_unknown_backend_rejected():
         JointScorer(model="bert-base")
 
 
-def test_scorer_shape_follows_backend(ray_session, tmp_path):
+def test_scorer_shape_follows_backend(ray_session, tmp_path, monkeypatch):
     """The backend alone picks the scorer's physical shape: "mock" is a
-    task map (no actor pool), an injected predict() object an actor
-    pool of ``concurrency`` actors whose predict() runs inside an
-    actor."""
+    task map whose kernel runs outside any actor, an injected predict()
+    object an actor pool whose predict() runs inside one actor."""
     import re
 
     import ray
     import ray.data
-    from ray.data._internal.compute import ActorPoolStrategy, TaskPoolStrategy
 
-    from jamie_ray.pipelines.kg import score_chunks
+    from jamie_ray.pipelines import kg
 
     marks = tmp_path / "actor_ids"
 
@@ -151,24 +149,29 @@ def test_scorer_shape_follows_backend(ray_session, tmp_path):
                 f.write(f"{ray.get_runtime_context().get_actor_id()}\n")
             return self.inner.predict(text)
 
-    def shape(ds):
-        compute = ds._logical_plan.dag._compute
-        ds = ds.materialize()
-        names = re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
-        return names, compute
+    def op_names(ds):
+        stats = ds.materialize().stats()
+        return re.findall(r"^Operator \d+ (\S+):", stats, re.M)
 
-    names, compute = shape(score_chunks(ray.data.from_arrow(_chunk_batch())))
+    task_marks = tmp_path / "task_actor_ids"
+    kernel = kg.score_chunks_task
+
+    def score_chunks_task(batch, **kw):
+        with open(task_marks, "a") as f:
+            f.write(f"{ray.get_runtime_context().get_actor_id()}\n")
+        return kernel(batch, **kw)
+
+    monkeypatch.setattr(kg, "score_chunks_task", score_chunks_task)
+    names = op_names(kg.score_chunks(ray.data.from_arrow(_chunk_batch())))
+    assert task_marks.read_text().split() == ["None"]
     assert names == ["FromArrow", "MapBatches(score_chunks_task)"]
-    assert isinstance(compute, TaskPoolStrategy)
 
-    names, compute = shape(
-        score_chunks(
+    names = op_names(
+        kg.score_chunks(
             ray.data.from_arrow(_chunk_batch()), model=LocalInjected(), concurrency=1
         )
     )
     assert names == ["FromArrow", "MapBatches(JointScorer)"]
-    assert isinstance(compute, ActorPoolStrategy)
-    assert compute.min_size == compute.max_size == 1
     ids = marks.read_text().split()
     assert len(ids) == 2 and len(set(ids)) == 1 and ids[0] != "None"
 

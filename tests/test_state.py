@@ -96,6 +96,22 @@ def test_pipeline_config_analyzer_and_decode(ray_session, tmp_path):
     juman = kg.build_graph(path, analyzer="juman").take_all()
     assert surfaces(base) == surfaces(juman) and base
 
+    # a page whose html has a stray invalid byte: strict -> quarantine,
+    # replace -> extracted with U+FFFD
+    from jamie_ray.stages.extract import extract_batch
+
+    page = pa.table(
+        {
+            "url": ["http://x/1"],
+            "html": [b"<html><body><p>ab\xffcd</p></body></html>"],
+        }
+    )
+    strict = extract_batch(page)
+    assert strict.column("error")[0].as_py() != ""
+    lossy = extract_batch(page, decode_errors="replace")
+    assert lossy.column("error")[0].as_py() == ""
+    assert "�" in lossy.column("text")[0].as_py()
+
     # corrupt one page that yields a triple: a stray byte before </body>
     url = base[0]["url"]
     html = pages.column("html").to_pylist()
