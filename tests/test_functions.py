@@ -2275,65 +2275,139 @@ def test_clean_corpus_compress_band_gate(ray_session, tmp_path):
 
 
 def test_clean_corpus_all_optins_compose(ray_session, tmp_path):
-    """Every opt-in stage enabled at once (permissive thresholds): the
-    chain runs end-to-end, emits every stats key in pipeline order,
-    and keeps the clean doc."""
+    """Every opt-in stage enabled at once: the chain runs end-to-end,
+    each gate drops exactly the one doc planted for it, the stats dict
+    carries every count in its fixed key order, and the kept rows are
+    the same over one block and four."""
     import ray.data
 
+    from jamie_ray.functions.lm import train_ngram_lm
     from jamie_ray.pipelines.clean import clean_corpus
 
-    docs = ray.data.from_items(
+    good = (
+        "This page stays through every gate today.\n"
+        "It has several ordinary lines of text in it.\n"
+        "Each line ends with terminal punctuation marks."
+    )
+    weather = (
+        "A second page that differs in every single word.\n"
+        "Its lines are ordinary sentences about the weather.\n"
+        "Rain fell on the hills and the rivers rose slowly.\n"
+        "Write to rain@example.com for the weather report today."
+    )
+    gardens = (
+        "A third page whose vector copies the second page.\n"
+        "Its words are about gardens and planting flowers.\n"
+        "Tulips bloom in spring after the long cold winter."
+    )
+    bench = (
+        "the quick brown fox shares a benchmark gram here.\n"
+        "so this document must be decontaminated away now.\n"
+        "three lines keep the line cleaner satisfied too."
+    )
+    rows = [
+        {"doc_id": 1, "url": "https://www.example.com/a?utm_source=x", "text": good},
+        # canonical-URL dup of 1
+        {"doc_id": 2, "url": "https://example.com/a", "text": good},
+        # shares a benchmark 3-gram
+        {"doc_id": 3, "url": "https://other.example.com/b", "text": bench},
+        # one kept line: fails the line cleaner's min-kept-lines rule
+        {
+            "doc_id": 4,
+            "url": "https://example.com/c",
+            "text": "Only one line here has enough words to keep.\nshort line\nanother",
+        },
+        # alpha-word fraction 0.5: fails the Gopher gate
+        {
+            "doc_id": 5,
+            "url": "https://example.com/d",
+            "text": "12 34 56 78 90 11 and.\n22 33 44 55 66 77 but.\n"
+            "88 99 10 20 30 40 so.",
+        },
+        # heuristic lang 'ja'
+        {
+            "doc_id": 6,
+            "url": "https://example.com/e",
+            "text": "CT検査で左肺 MRI所見あり PET画像で陰影 ECG異常なし X線で確認した.\n"
+            "CT再検査 MRI追加 PET不要 ECG正常 X線で経過観察.\n"
+            "CT結果を説明 MRI予約済み PET検討中 ECG毎月 X線は来週.",
+        },
+        # words the trusted LM never saw: perplexity ~93
+        {
+            "doc_id": 7,
+            "url": "https://example.com/f",
+            "text": "Zorblax quintevar mollusk grindle parapet oxbow.\n"
+            "Fennimore clavicle jubjub wistful drainpipe kelp.\n"
+            "Quagmire tessellate obelisk nimbus fjord plover.",
+        },
+        # exact dup of 1
+        {"doc_id": 8, "url": "https://example.com/g", "text": good},
+        # whitespace variant of 1: a near dup
+        {
+            "doc_id": 9,
+            "url": "https://example.com/h",
+            "text": good.replace("every gate", "every  gate")
+            .replace("ordinary lines", "ordinary  lines")
+            .replace("terminal punctuation", "terminal  punctuation"),
+        },
+        {"doc_id": 10, "url": "https://example.com/i", "text": weather},
+        # its vector is a semantic twin of 10's
+        {"doc_id": 11, "url": "https://example.com/j", "text": gardens},
+    ]
+    lm = train_ngram_lm(
+        ray.data.from_items(
+            [{"doc_id": 0, "text": " ".join([good, bench, weather, gardens])}] * 2
+        )
+    )
+    emb = ray.data.from_items(
         [
-            {
-                "doc_id": 1,
-                "url": "https://www.example.com/a?utm_source=x",
-                "text": "This page stays through every gate today.\n"
-                "It has several ordinary lines of text in it.\n"
-                "Each line ends with terminal punctuation marks.",
-            },
-            {
-                "doc_id": 2,
-                "url": "https://example.com/a",  # canonical-URL dup of 1
-                "text": "This page stays through every gate today.\n"
-                "It has several ordinary lines of text in it.\n"
-                "Each line ends with terminal punctuation marks.",
-            },
-            {
-                "doc_id": 3,
-                "url": "https://other.example.com/b",
-                "text": "the quick brown fox shares a benchmark gram here.\n"
-                "so this document must be decontaminated away now.\n"
-                "three lines keep the line cleaner satisfied too.",
-            },
+            {"doc_id": 1, "embedding": [1.0, 0.0, 0.0]},
+            {"doc_id": 2, "embedding": [0.0, 0.0, 1.0]},
+            # 3's vector equals 10's, but decontam dropped 3 first
+            {"doc_id": 3, "embedding": [0.0, 1.0, 0.0]},
+            {"doc_id": 10, "embedding": [0.0, 1.0, 0.0]},
+            {"doc_id": 11, "embedding": [0.0, 0.99, 0.01]},
         ]
     )
-    cleaned, stats = clean_corpus(
-        docs,
-        str(tmp_path / "spill"),
-        min_tokens=3,
-        near_dup_threshold=0.99,
-        url_col="url",
-        line_clean=True,
-        gopher=True,
-        compress_band=(1, 999_999_999),
-        decontam_benchmark=["the quick brown"],
-        span_min_len=50,
-        pii=True,
-    )
-    kept = {r["doc_id"] for r in cleaned.take_all()}
-    assert kept == {1}  # 2 lost the URL dedup, 3 decontaminated
-    for key in (
-        "n_input",
-        "n_after_url",
-        "n_after_line_clean",
-        "n_after_quality",
-        "n_after_decontam",
-        "n_after_exact",
-        "n_after_near_dup",
-    ):
-        assert key in stats, key
-    assert stats["n_after_url"] == 2
-    assert stats["n_after_decontam"] == 1
+    want_stats = [
+        ("n_input", 11),
+        ("n_after_quality", 8),
+        ("n_after_exact", 4),
+        ("n_after_near_dup", 3),
+        ("n_after_url", 10),
+        ("n_after_line_clean", 9),
+        ("n_after_lm", 6),
+        ("n_after_decontam", 5),
+        ("n_after_lang", 7),
+        ("n_after_semantic", 2),
+    ]
+    want_rows = [
+        (1, " ".join(good.split("\n"))),
+        (10, " ".join(weather.split("\n")).replace("rain@example.com", "<EMAIL>")),
+    ]
+    for n_blocks in (1, 4):
+        cleaned, stats = clean_corpus(
+            ray.data.from_items(rows, override_num_blocks=n_blocks),
+            str(tmp_path / f"spill{n_blocks}"),
+            min_tokens=3,
+            near_dup_threshold=0.9,
+            url_col="url",
+            line_clean=True,
+            gopher=True,
+            compress_band=(1, 999_999_999),
+            keep_lang="en",
+            lm=lm,
+            max_ppl=60.0,
+            decontam_benchmark=["the quick brown"],
+            embeddings=emb,
+            semantic_threshold=0.95,
+            semantic_n_centroids=2,
+            span_min_len=50,
+            pii=True,
+        )
+        assert list(stats.items()) == want_stats, n_blocks
+        got = sorted((r["doc_id"], r["text"]) for r in cleaned.take_all())
+        assert got == want_rows, n_blocks
 
 
 def test_cluster_assign_matches_quantizer(ray_session):
