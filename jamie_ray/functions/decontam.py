@@ -49,7 +49,7 @@ from ..hashing import stable_hash64
 from ..state.collect import DEFAULT_EDGE_CAP, iter_capped_batches
 from .text_analysis import ws_tokens
 
-__all__ = ["doc_grams", "benchmark_ngram_set", "decontaminate", "gram_hash"]
+__all__ = ["doc_grams", "benchmark_ngram_set", "flag_batch", "decontaminate", "gram_hash"]
 
 # per-worker gram-hash cache (vocabulary-sized, capped)
 _GRAM_HASH_CACHE: dict[str, int] = {}
@@ -171,11 +171,8 @@ def decontaminate(
     hashed path broadcasts ONE sorted uint64 array, hashed on the
     driver, so the 8 B/gram object-store footprint is realized and
     workers never re-hash the benchmark. The flag pass is a plain-task
-    map: each worker fetches the broadcast once through
-    ``state.worker_cache.cached_get``.
+    map of :func:`flag_batch`.
     """
-    from ..state.worker_cache import cached_get
-
     if isinstance(benchmark, ray.ObjectRef):
         ref = benchmark
     elif hashed:
@@ -185,23 +182,35 @@ def decontaminate(
             benchmark if isinstance(benchmark, frozenset) else frozenset(benchmark)
         )
 
-    def flag(batch: pa.Table) -> pa.Table:
-        bench = (
-            cached_get(ref, "decontam_hashes", _hashes_lookup)
-            if hashed
-            else cached_get(ref, "decontam_grams", _grams_lookup)
-        )
-        n_grams, n_hits = [], []
-        for t in batch.column(text_col).to_pylist():
-            grams = doc_grams(t, n)
-            n_grams.append(len(grams))
-            n_hits.append(_hits(grams, bench))
-        out = batch.drop_columns([text_col])
-        out = out.append_column("n_grams", pa.array(n_grams, pa.int64()))
-        out = out.append_column("n_hits", pa.array(n_hits, pa.int64()))
-        return out.append_column(
-            "contaminated",
-            pa.array([1 if h > 0 else 0 for h in n_hits], pa.int64()),
-        )
+    def flag(b: pa.Table) -> pa.Table:
+        return flag_batch(b, ref, n=n, text_col=text_col, hashed=hashed)
 
     return docs_ds.map_batches(flag, batch_format="pyarrow")
+
+
+def flag_batch(
+    batch: pa.Table, ref, *, n: int = 3, text_col: str = "text", hashed: bool = False
+) -> pa.Table:
+    """One block of :func:`decontaminate`, against the benchmark
+    ``ref`` (a ``ray.put`` gram set, or the sorted hash array when
+    ``hashed``), which each worker fetches once through
+    ``state.worker_cache.cached_get``."""
+    from ..state.worker_cache import cached_get
+
+    bench = (
+        cached_get(ref, "decontam_hashes", _hashes_lookup)
+        if hashed
+        else cached_get(ref, "decontam_grams", _grams_lookup)
+    )
+    n_grams, n_hits = [], []
+    for t in batch.column(text_col).to_pylist():
+        grams = doc_grams(t, n)
+        n_grams.append(len(grams))
+        n_hits.append(_hits(grams, bench))
+    out = batch.drop_columns([text_col])
+    out = out.append_column("n_grams", pa.array(n_grams, pa.int64()))
+    out = out.append_column("n_hits", pa.array(n_hits, pa.int64()))
+    return out.append_column(
+        "contaminated",
+        pa.array([1 if h > 0 else 0 for h in n_hits], pa.int64()),
+    )

@@ -50,7 +50,7 @@ import ray
 from ..shuffle import sorted_reduce
 from .text_analysis import ws_tokens
 
-__all__ = ["NgramLM", "ngram_counts", "train_ngram_lm", "score_perplexity"]
+__all__ = ["NgramLM", "ngram_counts", "train_ngram_lm", "score_batch", "score_perplexity"]
 
 _MICRO = 1_000_000
 
@@ -216,27 +216,34 @@ def score_perplexity(
     order, so the value is bit-stable under any block layout) and
     ``ppl`` (per-token perplexity ``exp(-logprob/n_tokens)``; NaN for
     empty docs). Filtering is the caller's one-liner so the scores stay
-    observable. The LM rides the object store once; plain-task batches
-    read it through ``state.worker_cache.cached_get``."""
+    observable. The LM rides the object store once; the plain-task map
+    runs :func:`score_batch`."""
     ref = lm if isinstance(lm, ray.ObjectRef) else ray.put(lm)
 
-    def score(batch: pa.Table) -> pa.Table:
-        from ..state.worker_cache import cached_get
-
-        model: NgramLM = cached_get(ref, "lm_score_perplexity")
-        n_tokens, lp_micro, ppl = [], [], []
-        for t in batch.column(text_col).to_pylist():
-            toks = ws_tokens(t)
-            lp = model.logprob(toks)
-            n_tokens.append(len(toks))
-            lp_micro.append(round(lp * _MICRO))
-            ppl.append(math.exp(-lp / len(toks)) if toks else float("nan"))
-        out = batch.drop_columns([text_col])
-        out = out.append_column("n_tokens", pa.array(n_tokens, pa.int64()))
-        out = out.append_column("logprob_micro", pa.array(lp_micro, pa.int64()))
-        return out.append_column("ppl", pa.array(ppl, pa.float64()))
+    def score(b: pa.Table) -> pa.Table:
+        return score_batch(b, ref, text_col=text_col)
 
     return docs.map_batches(score, batch_format="pyarrow")
+
+
+def score_batch(batch: pa.Table, lm, *, text_col: str = "text") -> pa.Table:
+    """One block of :func:`score_perplexity` under ``lm`` (an
+    :class:`NgramLM`, or a ``ray.put`` ref each worker fetches once
+    through ``state.worker_cache.cached_get``)."""
+    from ..state.worker_cache import cached_get
+
+    model: NgramLM = cached_get(lm, "lm_score_perplexity")
+    n_tokens, lp_micro, ppl = [], [], []
+    for t in batch.column(text_col).to_pylist():
+        toks = ws_tokens(t)
+        lp = model.logprob(toks)
+        n_tokens.append(len(toks))
+        lp_micro.append(round(lp * _MICRO))
+        ppl.append(math.exp(-lp / len(toks)) if toks else float("nan"))
+    out = batch.drop_columns([text_col])
+    out = out.append_column("n_tokens", pa.array(n_tokens, pa.int64()))
+    out = out.append_column("logprob_micro", pa.array(lp_micro, pa.int64()))
+    return out.append_column("ppl", pa.array(ppl, pa.float64()))
 
 
 def ppl_buckets(

@@ -153,7 +153,6 @@ def test_clean_corpus_line_clean_stage(tmp_path, ray_session):
         str(tmp_path / "spill"),
         line_clean=True,
         min_tokens=1,
-        min_quality_micro=0,
         max_dup3gram_micro=1_000_000,
     )
     got = {r["doc_id"]: r["text"] for r in cleaned.take_all()}

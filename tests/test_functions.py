@@ -2137,7 +2137,6 @@ def test_clean_corpus_gopher_gate(ray_session, tmp_path):
         str(tmp_path / "spill"),
         gopher=True,
         min_tokens=1,
-        min_quality_micro=0,
         max_dup3gram_micro=1_000_000,
     )
     assert {r["doc_id"] for r in cleaned.take_all()} == {0}
